@@ -18,13 +18,18 @@ test-race:
 	$(GO) test -race ./...
 
 # fuzz-smoke runs each native fuzz target briefly over its seeded corpus
-# (the golden wire-format fixtures): strict spec decoding must never
-# panic and decode->Normalized->encode must be a fixed point.
+# (the golden wire-format fixtures, real journal segments): strict spec
+# decoding must never panic and decode->Normalized->encode must be a
+# fixed point; journal replay must never panic and must count, never
+# recover, a torn or garbage line. Each journal-replay exec fsyncs, so
+# its minimization of new corpus entries is capped at a few execs;
+# uncapped, minimizing alone would use up the whole smoke budget.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/explore
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/report
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/service
 
 # cover writes a coverage profile, prints the per-function summary tail
 # (the total), and enforces the ratchet gate: the total must not drop
@@ -52,7 +57,7 @@ bench:
 		echo "backed up previous BENCH_step.json to BENCH_history/"; \
 	fi
 	$(GO) test -json -run '^$$' \
-		-bench 'BenchmarkSimulationStep$$|BenchmarkLSTMInfer$$|BenchmarkLSTMInfer32$$|BenchmarkLSTMInferBatched$$|BenchmarkLSTMPredict$$|BenchmarkClosedLoopRun$$|BenchmarkCampaignThroughput$$|BenchmarkServiceThroughput|BenchmarkReportThroughput|BenchmarkMixedWorkloadThroughput$$|BenchmarkMixedWorkloadMultiNode$$|BenchmarkInstrumentedMixedWorkload|BenchmarkExploreBoundarySearch$$|BenchmarkJournalRecovery$$|BenchmarkDiskCacheStore' \
+		-bench 'BenchmarkSimulationStep$$|BenchmarkLSTMInfer32$$|BenchmarkLSTMInferBatched$$|BenchmarkLSTMPredict$$|BenchmarkClosedLoopRun$$|BenchmarkCampaignThroughput$$|BenchmarkServiceThroughput|BenchmarkReportThroughput|BenchmarkMixedWorkloadThroughput$$|BenchmarkMixedWorkloadMultiNode$$|BenchmarkInstrumentedMixedWorkload|BenchmarkExploreBoundarySearch$$|BenchmarkJournalRecovery$$|BenchmarkDiskCacheStore' \
 		-benchmem -benchtime=2s -timeout 30m . > BENCH_step.json
 	@grep -o '"Output":"[^"]*"' BENCH_step.json | sed 's/"Output":"//;s/"$$//' \
 		| tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true

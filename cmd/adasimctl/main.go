@@ -6,22 +6,15 @@
 //
 // Commands:
 //
-//	submit           submit a job (from -spec JSON or from flags); -wait blocks
-//	status           show a job's status and progress
-//	results          fetch a finished job's results
-//	wait             block until a job reaches a terminal state
-//	explore          submit a scenario-space exploration; -wait blocks
-//	explore-status   show an exploration's status and progress
-//	explore-results  fetch a finished exploration's report
-//	report           submit a paper-artifact report; -wait blocks
-//	report-status    show a report's status and progress
-//	report-results   fetch a finished report's artifacts
-//	task             uniform verbs over any task kind:
-//	                   task status|results|wait|cancel|watch -id <task-id>
-//	scenarios        list the scenario catalogue (including families)
-//	health           show daemon health, queue, pool, and cache counters
-//	cache            show the result cache: memory tier and segment store
-//	workers          show the remote-worker fleet (connected workers, leases)
+//	submit     submit a job (from -spec JSON or from flags); -wait blocks
+//	explore    submit a scenario-space exploration; -wait blocks
+//	report     submit a paper-artifact report; -wait blocks
+//	task       status, results and control of any task kind:
+//	             task status|results|wait|cancel|watch -id <task-id>
+//	scenarios  list the scenario catalogue (including families)
+//	health     show daemon health, queue, pool, and cache counters
+//	cache      show the result cache: memory tier and segment store
+//	workers    show the remote-worker fleet (connected workers, leases)
 //
 // The submit verbs accept -priority interactive|bulk to override the
 // kind's default scheduling class.
@@ -30,7 +23,7 @@
 //
 //	adasimctl submit -fault rd -driver -check -aeb indep -reps 3 -wait
 //	adasimctl submit -spec job.json
-//	adasimctl results -id j000001-1a2b3c4d
+//	adasimctl task results -id j000001-1a2b3c4d
 //	adasimctl explore -family cut-in -boundary-axis trigger_gap -driver -fault curv -wait
 //	adasimctl explore -family cut-in -method lhs -samples 32 -axes "trigger_gap=5:60" -wait
 //	adasimctl report -artifacts table6,fig6 -reps 2 -wait
@@ -66,7 +59,7 @@ func main() {
 func run() error {
 	addr := flag.String("addr", "http://127.0.0.1:8080", "adasimd base URL")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: adasimctl [-addr URL] <submit|status|results|wait|explore|explore-status|explore-results|report|report-status|report-results|task|scenarios|health|cache|workers> [flags]")
+		fmt.Fprintln(os.Stderr, "usage: adasimctl [-addr URL] <submit|explore|report|task|scenarios|health|cache|workers> [flags]")
 		fmt.Fprintln(os.Stderr, "       adasimctl task <status|results|wait|cancel|watch> -id <task-id>")
 		flag.PrintDefaults()
 	}
@@ -80,24 +73,10 @@ func run() error {
 	switch cmd {
 	case "submit":
 		return cmdSubmit(c, args)
-	case "status":
-		return cmdJobGet(c, args, "")
-	case "results":
-		return cmdJobGet(c, args, "/results")
-	case "wait":
-		return cmdWait(c, args)
 	case "explore":
 		return cmdExplore(c, args)
-	case "explore-status":
-		return cmdIDGet(c, args, "/v1/explorations/", "")
-	case "explore-results":
-		return cmdIDGet(c, args, "/v1/explorations/", "/results")
 	case "report":
 		return cmdReport(c, args)
-	case "report-status":
-		return cmdIDGet(c, args, "/v1/reports/", "")
-	case "report-results":
-		return cmdIDGet(c, args, "/v1/reports/", "/results")
 	case "task":
 		return cmdTask(c, args)
 	case "scenarios":
@@ -186,10 +165,6 @@ func specFromFlags(scenarioArg, gapArg string, reps, steps int, seed, salt int64
 		return spec, err
 	}
 	return spec, nil
-}
-
-func cmdJobGet(c *client.Client, args []string, suffix string) error {
-	return cmdIDGet(c, args, "/v1/jobs/", suffix)
 }
 
 func cmdExplore(c *client.Client, args []string) error {
@@ -283,9 +258,9 @@ func cmdTask(c *client.Client, args []string) error {
 	sub, rest := args[0], args[1:]
 	switch sub {
 	case "status":
-		return cmdIDGet(c, rest, "/v1/tasks/", "")
+		return cmdTaskGet(c, rest, "")
 	case "results":
-		return cmdIDGet(c, rest, "/v1/tasks/", "/results")
+		return cmdTaskGet(c, rest, "/results")
 	case "wait":
 		id, err := parseID(rest)
 		if err != nil {
@@ -334,33 +309,18 @@ func parseID(args []string) (string, error) {
 	return *id, nil
 }
 
-// cmdIDGet fetches <prefix><id><suffix> for the -id flag.
-func cmdIDGet(c *client.Client, args []string, prefix, suffix string) error {
+// cmdTaskGet fetches /v1/tasks/<id><suffix> for the -id flag.
+func cmdTaskGet(c *client.Client, args []string, suffix string) error {
 	id, err := parseID(args)
 	if err != nil {
 		return err
 	}
-	return getPrint(c, prefix+id+suffix)
+	return getPrint(c, "/v1/tasks/"+id+suffix)
 }
 
-func cmdWait(c *client.Client, args []string) error {
-	id, err := parseID(args)
-	if err != nil {
-		return err
-	}
-	view, err := c.WaitJob(id)
-	if err != nil {
-		return err
-	}
-	return printJSON(view)
-}
-
-// getPrint fetches path and prints the raw response body, preserving the
-// server's byte-exact encoding.
 // cmdCache renders the result-cache slice of /healthz: the in-memory
 // LRU counters, and — when the disk tier is on — the segment store's
-// segment/index/byte accounting and its compaction, GC, and migration
-// history.
+// segment/index/byte accounting and its compaction and GC history.
 func cmdCache(c *client.Client) error {
 	var health service.HealthResponse
 	if err := c.GetJSON("/healthz", &health); err != nil {
@@ -384,14 +344,16 @@ func cmdCache(c *client.Client) error {
 		fmt.Printf(" (budget %d)", d.MaxBytes)
 	}
 	fmt.Println()
-	fmt.Printf("maintenance: %d compactions, %d segments gc'd (%d bytes), %d legacy migrations, %d corrupt records\n",
-		d.Compactions, d.GCSegments, d.GCBytes, d.Migrations, d.CorruptRecords)
+	fmt.Printf("maintenance: %d compactions, %d segments gc'd (%d bytes), %d corrupt records\n",
+		d.Compactions, d.GCSegments, d.GCBytes, d.CorruptRecords)
 	if e := st.DiskErrors; e.Read+e.Write+e.Decode > 0 {
 		fmt.Printf("disk errors: %d read, %d write, %d decode\n", e.Read, e.Write, e.Decode)
 	}
 	return nil
 }
 
+// getPrint fetches path and prints the raw response body, preserving the
+// server's byte-exact encoding.
 func getPrint(c *client.Client, path string) error {
 	b, err := c.GetRaw(path)
 	if err != nil {

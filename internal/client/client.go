@@ -3,10 +3,9 @@
 // tests drive the real server through the same code paths, so the CLI's
 // wire behaviour is exactly what the tests pin.
 //
-// The generic task methods (SubmitTask, Task, TaskResults, WaitTask,
+// The task methods (SubmitTask, Task, TaskResults, WaitTask, WatchTask,
 // CancelTask) speak the unified /v1/tasks API and work for every
-// registered kind; the typed helpers (WaitJob, ...) are aliases kept
-// for the pre-runtime surface.
+// registered kind.
 package client
 
 import (
@@ -37,7 +36,7 @@ const (
 type Client struct {
 	// Base is the service base URL, without a trailing slash.
 	Base string
-	// Poll is the status-polling interval of the Wait helpers; zero means
+	// Poll is the status-polling interval of WaitTask; zero means
 	// 200ms.
 	Poll time.Duration
 	// Retries is how many times a request rejected with 429 (queue full)
@@ -239,7 +238,7 @@ func (c *Client) TaskEvents(id string) ([]service.TimelineEvent, error) {
 // WatchTask follows a task's live SSE event stream, calling fn for
 // each timeline event (the already-recorded ones first, then live
 // ones), and returns when the server closes the stream — which it does
-// right after the terminal event. Unlike the polling Wait helpers it
+// right after the terminal event. Unlike the polling WaitTask it
 // holds one connection open for the task's whole life. The stream is
 // not retried: events could be missed while reconnecting, and the
 // caller can fall back to TaskEvents/WaitTask.
@@ -330,18 +329,6 @@ func (c *Client) WaitTask(id string) (service.TaskView, error) {
 		time.Sleep(c.poll())
 	}
 }
-
-// WaitJob polls the job until it reaches a terminal state.
-func (c *Client) WaitJob(id string) (service.JobView, error) { return c.WaitTask(id) }
-
-// WaitExploration polls the exploration until it reaches a terminal
-// state.
-func (c *Client) WaitExploration(id string) (service.ExplorationView, error) {
-	return c.WaitTask(id)
-}
-
-// WaitReport polls the report until it reaches a terminal state.
-func (c *Client) WaitReport(id string) (service.ReportView, error) { return c.WaitTask(id) }
 
 func decodeResponse(resp *http.Response, out any) error {
 	defer resp.Body.Close()

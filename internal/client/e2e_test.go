@@ -75,18 +75,18 @@ func TestEndToEndJobMatchesEngine(t *testing.T) {
 		Interventions: core.InterventionSet{Driver: true},
 	}
 
-	var view service.JobView
-	if err := c.PostJSON("/v1/jobs", spec, &view); err != nil {
+	view, err := c.SubmitTask("jobs", spec, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.WaitJob(view.ID)
+	final, err := c.WaitTask(view.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final.Status != service.StatusDone {
 		t.Fatalf("job = %+v", final)
 	}
-	got, err := c.GetRaw("/v1/jobs/" + final.ID + "/results")
+	got, err := c.TaskResults(final.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,18 +129,18 @@ func TestEndToEndExplorationMatchesEngine(t *testing.T) {
 		Boundary:      &explore.BoundarySpec{Axis: "trigger_gap", Min: 5, Max: 60, Tolerance: 10},
 	}
 
-	var view service.ExplorationView
-	if err := c.PostJSON("/v1/explorations", spec, &view); err != nil {
+	view, err := c.SubmitTask("explorations", spec, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.WaitExploration(view.ID)
+	final, err := c.WaitTask(view.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final.Status != service.StatusDone {
 		t.Fatalf("exploration = %+v", final)
 	}
-	got, err := c.GetRaw("/v1/explorations/" + final.ID + "/results")
+	got, err := c.TaskResults(final.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,18 +158,18 @@ func TestEndToEndReportMatchesEngine(t *testing.T) {
 	c, _ := bootServer(t)
 	spec := report.Spec{Artifacts: []string{report.Table4, report.Fig6}, Reps: 1, Steps: 300, BaseSeed: 5}
 
-	var view service.ReportView
-	if err := c.PostJSON("/v1/reports", spec, &view); err != nil {
+	view, err := c.SubmitTask("reports", spec, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.WaitReport(view.ID)
+	final, err := c.WaitTask(view.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final.Status != service.StatusDone {
 		t.Fatalf("report = %+v", final)
 	}
-	got, err := c.GetRaw("/v1/reports/" + final.ID + "/results")
+	got, err := c.TaskResults(final.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestEndToEndReportMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestEndToEndUnifiedTaskAPI drives the generic task client over the
-// real server: submit through /v1/tasks/{kind}, wait and fetch results
-// through /v1/tasks/{id}, and byte-compare against the legacy per-kind
-// route — the alias contract.
+// TestEndToEndUnifiedTaskAPI drives the task client over the real
+// server: submit through /v1/tasks/{kind}, wait and fetch results
+// through /v1/tasks/{id}, and resubmit the same spec at a priority
+// override — its cache-served results must be byte-identical.
 func TestEndToEndUnifiedTaskAPI(t *testing.T) {
 	c, _ := bootServer(t)
 	spec := service.JobSpec{
@@ -212,16 +212,9 @@ func TestEndToEndUnifiedTaskAPI(t *testing.T) {
 	if final.Status != service.StatusDone {
 		t.Fatalf("task = %+v", final)
 	}
-	generic, err := c.TaskResults(view.ID)
+	cold, err := c.TaskResults(view.ID)
 	if err != nil {
 		t.Fatal(err)
-	}
-	legacy, err := c.GetRaw("/v1/jobs/" + view.ID + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(generic, legacy) {
-		t.Error("unified and legacy results routes are not byte-identical")
 	}
 	// Priority override is visible on the accepted view.
 	bulk, err := c.SubmitTask("jobs", spec, service.PriorityBulk)
@@ -231,8 +224,15 @@ func TestEndToEndUnifiedTaskAPI(t *testing.T) {
 	if bulk.Priority != service.PriorityBulk {
 		t.Errorf("bulk-submitted view priority = %q", bulk.Priority)
 	}
-	if _, err := c.WaitTask(bulk.ID); err != nil {
+	if final, err := c.WaitTask(bulk.ID); err != nil || final.CacheHits != final.TotalRuns {
+		t.Fatalf("resubmitted task = %+v (%v), want every run cache-served", final, err)
+	}
+	warm, err := c.TaskResults(bulk.ID)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Error("cold and cache-served results are not byte-identical")
 	}
 }
 
@@ -288,10 +288,10 @@ func TestEndToEndCancel(t *testing.T) {
 
 func TestClientErrorSurface(t *testing.T) {
 	c, _ := bootServer(t)
-	if err := c.PostJSON("/v1/reports", report.Spec{Artifacts: []string{"bogus"}}, nil); err == nil {
+	if err := c.PostJSON("/v1/tasks/reports", report.Spec{Artifacts: []string{"bogus"}}, nil); err == nil {
 		t.Error("invalid report spec accepted")
 	}
-	if _, err := c.GetRaw("/v1/reports/nope/results"); err == nil {
-		t.Error("unknown report id accepted")
+	if _, err := c.GetRaw("/v1/tasks/nope/results"); err == nil {
+		t.Error("unknown task id accepted")
 	}
 }

@@ -10,14 +10,14 @@ import "math"
 // batch size, batch composition, or cache-block boundaries. The two
 // implementations may differ by rounding (the assembly fuses each
 // multiply-add into a single-rounding FMA), which the accuracy tests
-// bound against the float64 path; within one process the selection is
+// bound against the float64 Predict; within one process the selection is
 // constant, so repeated runs stay bit-identical.
 
 // axpy432 computes z[i] += a[0]*w0[i] + a[1]*w1[i] + a[2]*w2[i] +
 // a[3]*w3[i] — the four-row fused update at the heart of the batched
 // GEMM. Fusing four weight rows amortises the z load/store over eight
 // multiply-adds, which is what lifts the kernel off the load-port limit
-// that caps the float64 two-row version.
+// that caps a one- or two-row update.
 func axpy432(z, w0, w1, w2, w3 []float32, a *[4]float32) {
 	if useAsmGemm {
 		if n := len(z); n > 0 {

@@ -102,8 +102,8 @@ func TestBatchCompositionIndependence(t *testing.T) {
 	check("reversed triple", [][][]float32{seqs[5], seqs[1], seqs[0]}, []int{5, 1, 0})
 }
 
-// TestScratch32RefreshAfterRetraining mirrors the float64 scratch test:
-// after TrainBatch, Refresh brings the float32 projection back in sync.
+// TestScratch32RefreshAfterRetraining: after TrainBatch, Refresh brings
+// the float32 projection back in sync with the retrained weights.
 func TestScratch32RefreshAfterRetraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	net, err := NewNetwork(4, []int{12}, 2, 9)
@@ -128,9 +128,9 @@ func TestScratch32RefreshAfterRetraining(t *testing.T) {
 	}
 }
 
-// TestStaleScratchPanics covers the weight-version counter for both
-// scratch flavours: predicting through a scratch that has not been
-// Refreshed since TrainBatch must panic, not silently use old weights.
+// TestStaleScratchPanics covers the weight-version counter: predicting
+// through a scratch that has not been Refreshed since TrainBatch must
+// panic, not silently use old weights.
 func TestStaleScratchPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	net, err := NewNetwork(4, []int{12}, 2, 9)
@@ -138,7 +138,6 @@ func TestStaleScratchPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq64, seq32 := randomSeq32(rng, 10, 4)
-	sc64 := net.NewInferScratch()
 	sc32 := net.NewInferScratch32(2)
 
 	opt := NewAdam(net.Params(), 1e-2)
@@ -155,18 +154,15 @@ func TestStaleScratchPanics(t *testing.T) {
 		}()
 		f()
 	}
-	expectPanic("InferScratch", func() { net.PredictInto(seq64, sc64) })
 	expectPanic("InferScratch32", func() { net.PredictInto32(seq32, sc32) })
 
-	// Refresh clears the staleness on both.
-	sc64.Refresh(net)
+	// Refresh clears the staleness.
 	sc32.Refresh(net)
-	net.PredictInto(seq64, sc64)
 	net.PredictInto32(seq32, sc32)
 }
 
-// TestInferBatchZeroAllocs holds the batched path to the same zero
-// steady-state allocation standard as the float64 fast path.
+// TestInferBatchZeroAllocs holds the batched path to zero steady-state
+// allocations: the closed loop calls it every control cycle.
 func TestInferBatchZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	net, err := NewNetwork(6, []int{32, 16}, 2, 4)

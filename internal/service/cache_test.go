@@ -3,12 +3,9 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"adasim/internal/metrics"
@@ -112,58 +109,85 @@ func TestCacheEvictionKeepsDiskCopy(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntryQuarantined pins the corrupt legacy-entry path:
-// a pre-segment JSON entry whose body does not parse is a miss (counted
-// under disk_errors.decode), is quarantined as <key>.corrupt so it is
-// counted once, and a clean rewrite of the same key works — into the
-// segment store, never back into a JSON file.
-func TestCacheCorruptEntryQuarantined(t *testing.T) {
+// TestCacheLeftoverLegacyLayout pins how a cache dir still holding the
+// pre-segment layout is treated: one JSON file per entry under
+// two-character shard dirs (ab/<key>.json), plus a quarantined
+// ab/<key>.corrupt. The cache boots on it, serves those keys as plain
+// misses with no disk error counted, and leaves the files untouched. A
+// Put of such a key lands in the segment store, which serves it from
+// then on.
+func TestCacheLeftoverLegacyLayout(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, key(1)[:2], key(1)+".json")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	files := make(map[string][]byte)
+	for i := 0; i < 3; i++ {
+		out := metrics.NewOutcome()
+		out.Steps = 100 + i
+		b, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Join(dir, key(i)[:2], key(i)+".json")] = b
+	}
+	files[filepath.Join(dir, key(3)[:2], key(3)+".corrupt")] = []byte(`{"steps": 7,`)
+	for path, b := range files {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c, err := NewResultCache(8, dir)
+	if err != nil {
+		t.Fatalf("boot on a legacy-layout dir: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, ok := c.Get(key(i)); ok {
+			t.Fatalf("Get(%s) served a legacy entry", key(i))
+		}
+		if _, ok := c.Encoded(key(i)); ok {
+			t.Fatalf("Encoded(%s) served a legacy entry", key(i))
+		}
+	}
+	st := c.Stats()
+	if st.Hits != 0 || st.Misses != 8 || st.DiskHits != 0 {
+		t.Fatalf("legacy keys: hits=%d misses=%d disk_hits=%d, want 0/8/0", st.Hits, st.Misses, st.DiskHits)
+	}
+	if st.DiskErrors != (DiskErrorStats{}) {
+		t.Fatalf("legacy keys counted disk errors: %+v", st.DiskErrors)
+	}
+	if st.Disk == nil || st.Disk.IndexEntries != 0 || st.Disk.CorruptRecords != 0 {
+		t.Fatalf("segment store after legacy lookups = %+v, want empty and clean", st.Disk)
+	}
+
+	// A Put of a legacy key goes to the segment store; a fresh boot
+	// serves the segment bytes, not the leftover file's.
+	out := metrics.NewOutcome()
+	out.Steps = 42
+	want, err := json.Marshal(out)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, []byte(`{"steps": 7,`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	c.Put(key(0), out)
+	c.Close()
 	c2, err := NewResultCache(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, ok := c2.Get(key(1)); ok {
-		t.Fatal("corrupt entry served as a hit")
+	if enc, ok := c2.Encoded(key(0)); !ok || !bytes.Equal(enc, want) {
+		t.Fatalf("Encoded after Put = %q %v, want the segment bytes %q", enc, ok, want)
 	}
-	st := c2.Stats()
-	if st.DiskErrors.Decode != 1 {
-		t.Fatalf("disk_errors.decode = %d, want 1", st.DiskErrors.Decode)
+	if st := c2.Stats(); st.DiskHits != 1 || st.Disk.IndexEntries != 1 {
+		t.Fatalf("after Put: disk_hits=%d index=%d, want 1/1", st.DiskHits, st.Disk.IndexEntries)
 	}
-	corrupt := strings.TrimSuffix(path, ".json") + ".corrupt"
-	if _, err := os.Stat(corrupt); err != nil {
-		t.Fatalf("corrupt entry not quarantined at %s: %v", corrupt, err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("corrupt entry still occupies its slot: %v", err)
-	}
-	// A second lookup is a plain miss, not another decode error.
-	if _, ok := c2.Get(key(1)); ok {
-		t.Fatal("quarantined entry served as a hit")
-	}
-	if st := c2.Stats(); st.DiskErrors.Decode != 1 {
-		t.Fatalf("decode errors after quarantine = %d, want still 1", st.DiskErrors.Decode)
-	}
-	// The slot is reusable, and the rewrite lands in the segment store.
-	c2.Put(key(1), metrics.Outcome{Steps: 2})
-	if st := c2.Stats(); st.Disk == nil || st.Disk.IndexEntries != 1 {
-		t.Fatalf("rewrite did not land in the segment store: %+v", st.Disk)
-	}
-	c3, err := NewResultCache(8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c3.Close()
-	if got, ok := c3.Get(key(1)); !ok || got.Steps != 2 {
-		t.Fatalf("rewritten entry = %+v %v, want Steps=2", got, ok)
+
+	for path, b := range files {
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, b) {
+			t.Errorf("legacy file %s changed: %q %v", path, got, err)
+		}
 	}
 }
 
@@ -327,9 +351,8 @@ func TestCachePutResidentSkipsWrite(t *testing.T) {
 	}
 }
 
-// TestCacheShortKey pins the validated key helper: keys too short to
-// have sharded in the legacy layout never touch the disk store but
-// still work in memory.
+// TestCacheShortKey pins the validated key helper: keys shorter than
+// two characters never touch the disk store but still work in memory.
 func TestCacheShortKey(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewResultCache(8, dir)

@@ -45,7 +45,7 @@ func TestRunRetryTransientFailure(t *testing.T) {
 		return r.Do(opts)
 	}
 	d := newChaosDispatcher(t, Config{Workers: 1, QueueSize: 4, CacheEntries: 16}, flaky)
-	v, err := d.Submit(smallSpec())
+	v, err := d.SubmitTask(JobKind, smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRunRetryTransientFailure(t *testing.T) {
 	chaotic := fetchResults(t, d, v.ID)
 
 	clean := newTestDispatcher(t, Config{Workers: 1, QueueSize: 4, CacheEntries: 16})
-	cv, err := clean.Submit(smallSpec())
+	cv, err := clean.SubmitTask(JobKind, smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRunRetryExhausted(t *testing.T) {
 		return nil, errors.New("injected persistent fault")
 	}
 	d := newChaosDispatcher(t, Config{Workers: 1, QueueSize: 4, CacheEntries: 16, RunRetries: 2}, broken)
-	v, err := d.Submit(smallSpec())
+	v, err := d.SubmitTask(JobKind, smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	}
 	d := newChaosDispatcher(t, Config{Workers: 2, QueueSize: 8, CacheEntries: 16}, bomb)
 
-	bv, err := d.Submit(bad)
+	bv, err := d.SubmitTask(JobKind, bad, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gv, err := d.Submit(smallSpec())
+	gv, err := d.SubmitTask(JobKind, smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	}
 
 	// The daemon survives: the shard that panicked still services work.
-	after, err := d.Submit(slowSpec(2))
+	after, err := d.SubmitTask(JobKind, slowSpec(2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestTaskRunPanicIsolation(t *testing.T) {
 		!strings.Contains(final.Error, "injected engine panic") {
 		t.Fatalf("panicking engine = %+v, want failed with the panic in the error", final)
 	}
-	ok, err := d.Submit(smallSpec())
+	ok, err := d.SubmitTask(JobKind, smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

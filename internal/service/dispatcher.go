@@ -2,9 +2,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -16,11 +13,9 @@ import (
 
 	"adasim/internal/core"
 	"adasim/internal/experiments"
-	"adasim/internal/explore"
 	"adasim/internal/metrics"
 	"adasim/internal/mlmit"
 	"adasim/internal/obs"
-	"adasim/internal/report"
 )
 
 // Sentinel errors surfaced by the task runtime.
@@ -570,32 +565,25 @@ func (d *Dispatcher) SubmitTask(kind *TaskKind, spec TaskSpec, priority Priority
 }
 
 // Task returns a snapshot of the task, if known.
-func (d *Dispatcher) Task(id string) (TaskView, bool) { return d.taskView(id, nil) }
-
-// taskView returns a snapshot of the task if it is known, optionally
-// constrained to a kind (nil = any) — the legacy per-kind routes must
-// not serve records of another kind.
-func (d *Dispatcher) taskView(id string, kind *TaskKind) (TaskView, bool) {
+func (d *Dispatcher) Task(id string) (TaskView, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t, ok := d.tasks[id]
-	if !ok || (kind != nil && t.kind != kind) {
+	if !ok {
 		return TaskView{}, false
 	}
 	return d.viewLocked(t), true
 }
 
 // taskResult returns the task's kind-specific result once it is done,
-// optionally constrained to a kind (nil = any): the typed legacy
-// accessors must treat an ID of another kind as unknown in every
-// status, not only once it is done. The boolean is false for unknown
-// tasks; the error reports a task that has not finished, failed, or was
-// canceled.
-func (d *Dispatcher) taskResult(id string, kind *TaskKind) (any, string, *TaskKind, *SoleRunRef, bool, error) {
+// with its spec hash, kind and sole-run reference. The boolean is false
+// for unknown tasks; the error reports a task that has not finished,
+// failed, or was canceled.
+func (d *Dispatcher) taskResult(id string) (any, string, *TaskKind, *SoleRunRef, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t, ok := d.tasks[id]
-	if !ok || (kind != nil && t.kind != kind) {
+	if !ok {
 		return nil, "", nil, nil, false, nil
 	}
 	switch t.status {
@@ -614,7 +602,7 @@ func (d *Dispatcher) taskResult(id string, kind *TaskKind) (any, string, *TaskKi
 // kind's Wire marshal applied to the result, a pure function of the
 // normalized spec.
 func (d *Dispatcher) TaskResults(id string) (any, bool, error) {
-	result, hash, kind, _, ok, err := d.taskResult(id, nil)
+	result, hash, kind, _, ok, err := d.taskResult(id)
 	if !ok || err != nil {
 		return nil, ok, err
 	}
@@ -643,15 +631,11 @@ func (d *Dispatcher) TaskDone(id string) <-chan struct{} {
 //   - unknown: ErrUnknownTask.
 //
 // The returned view snapshots the task after the request was applied.
-func (d *Dispatcher) Cancel(id string) (TaskView, error) { return d.cancelTask(id, nil) }
-
-// cancelTask is Cancel constrained to a kind (nil = any), so the legacy
-// per-kind DELETE aliases resolve and cancel in one locked lookup.
-func (d *Dispatcher) cancelTask(id string, kind *TaskKind) (TaskView, error) {
+func (d *Dispatcher) Cancel(id string) (TaskView, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t, ok := d.tasks[id]
-	if !ok || (kind != nil && t.kind != kind) {
+	if !ok {
 		return TaskView{}, ErrUnknownTask
 	}
 	switch t.status {
@@ -671,7 +655,7 @@ func (d *Dispatcher) cancelTask(id string, kind *TaskKind) (TaskView, error) {
 		d.m.finished[t.kind.Plural][StatusCanceled].Inc()
 		d.appendEventLocked(t, EventCanceled, "canceled while queued")
 		d.closeSubsLocked(t)
-		d.journalTerminal(t, "")
+		d.journalTerminal(t)
 		d.pruneLocked()
 		d.log.Info("task canceled while queued", "task", t.id, "kind", t.kind.Name)
 	case StatusRunning:
@@ -687,20 +671,6 @@ func (d *Dispatcher) cancelTask(id string, kind *TaskKind) (TaskView, error) {
 		return d.viewLocked(t), ErrTaskTerminal
 	}
 	return d.viewLocked(t), nil
-}
-
-// CountsFor returns the number of retained records per status for one
-// kind.
-func (d *Dispatcher) CountsFor(kind *TaskKind) map[Status]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	counts := make(map[Status]int, 5)
-	for _, t := range d.tasks {
-		if t.kind == kind {
-			counts[t.status]++
-		}
-	}
-	return counts
 }
 
 // TaskCounts returns per-kind, per-status record counts (keyed by the
@@ -829,8 +799,7 @@ func (d *Dispatcher) scheduler() {
 // executeTask runs one task (already marked running by the scheduler)
 // through its kind's Run on the shard executor, then finalizes the
 // record: done with its result, failed with its error, or canceled with
-// partial results discarded. The terminal transition is journaled (for
-// done tasks, with a fingerprint of the wire-shaped result) so a
+// partial results discarded. The terminal transition is journaled so a
 // restart never replays finished work.
 func (d *Dispatcher) executeTask(t *task) {
 	canceled := func() bool {
@@ -875,13 +844,6 @@ func (d *Dispatcher) executeTask(t *task) {
 	}
 	result, stats, err := d.safeRun(t, env)
 
-	// Fingerprint the result before taking the lock (a report marshals
-	// ~0.5 MB); only used if the task finalizes as done.
-	var resultHash string
-	if err == nil && !t.cancel.Load() {
-		resultHash = wireHash(t.kind, t.hash, result)
-	}
-
 	endMono := time.Now()
 	end := endMono.UTC()
 	ran := endMono.Sub(t.startedMono)
@@ -914,7 +876,7 @@ func (d *Dispatcher) executeTask(t *task) {
 	// closure so a retained record costs its result, not its expanded
 	// plan (a 10k-run job's plan is megabytes of resolved options).
 	t.prep.Run = nil
-	d.journalTerminal(t, resultHash)
+	d.journalTerminal(t)
 	d.pruneLocked()
 	status, completed, cacheHits, errMsg := t.status, t.completed.Load(), t.cacheHits.Load(), t.errMsg
 	d.mu.Unlock()
@@ -961,31 +923,20 @@ func (d *Dispatcher) safeRun(t *task, env TaskEnv) (result any, stats TaskStats,
 	return t.prep.Run(env)
 }
 
-// wireHash fingerprints a finished task's results-endpoint encoding
-// (SHA-256 of the wire JSON); empty when the result does not marshal.
-func wireHash(kind *TaskKind, hash string, result any) string {
-	b, err := json.Marshal(kind.Wire(hash, result))
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // journalTerminal appends the terminal record of t (whose status must
 // already be final). It never fails the task — an append error only
 // bumps the journal's error counter — and it is suppressed after Halt:
 // a halted dispatcher simulates a crashed process, whose journal would
 // never have seen the transition. Callers hold d.mu, which also keeps
 // journal order consistent with record state.
-func (d *Dispatcher) journalTerminal(t *task, resultHash string) {
+func (d *Dispatcher) journalTerminal(t *task) {
 	if d.journal == nil || d.halted.Load() {
 		return
 	}
 	rec := journalRecord{ID: t.id, At: time.Now().UTC()}
 	switch t.status {
 	case StatusDone:
-		rec.Op, rec.ResultHash = opDone, resultHash
+		rec.Op = opDone
 	case StatusFailed:
 		rec.Op, rec.Error = opFailed, t.errMsg
 	case StatusCanceled:
@@ -1196,89 +1147,3 @@ func (se shardExecutor) Execute(reqs []experiments.RunRequest, onDone func(i int
 func AggregateFor(results []experiments.RunOutcome) metrics.Aggregate {
 	return metrics.AggregateOutcomes(experiments.Outcomes(results))
 }
-
-// --- Typed compatibility surface -------------------------------------
-//
-// The pre-runtime API shipped kind-specific methods; they are retained
-// as one-line wrappers over the generic task runtime so existing
-// callers (CLIs, benches, tests) keep working. New kinds need none of
-// this: the generic Submit/Task/TaskResults/TaskDone/Cancel path serves
-// them.
-
-// Submit validates, normalizes, and enqueues a campaign job spec.
-func (d *Dispatcher) Submit(spec JobSpec) (JobView, error) {
-	return d.SubmitTask(JobKind, spec, "")
-}
-
-// Job returns a snapshot of the job, if known.
-func (d *Dispatcher) Job(id string) (JobView, bool) { return d.taskView(id, JobKind) }
-
-// Results returns the job's results once it is done. The boolean is
-// false for unknown jobs; the error reports a job that has not finished
-// (or failed, or was canceled).
-func (d *Dispatcher) Results(id string) ([]experiments.RunOutcome, string, bool, error) {
-	result, hash, _, _, ok, err := d.taskResult(id, JobKind)
-	if !ok || err != nil {
-		return nil, hash, ok, err
-	}
-	return result.([]experiments.RunOutcome), hash, true, nil
-}
-
-// Done returns a channel closed when the job reaches a terminal state,
-// or nil for unknown jobs.
-func (d *Dispatcher) Done(id string) <-chan struct{} { return d.TaskDone(id) }
-
-// JobCounts returns the number of retained jobs per status.
-func (d *Dispatcher) JobCounts() map[Status]int { return d.CountsFor(JobKind) }
-
-// SubmitExploration validates, normalizes, and enqueues an exploration
-// spec.
-func (d *Dispatcher) SubmitExploration(spec explore.Spec) (ExplorationView, error) {
-	return d.SubmitTask(ExplorationKind, exploreTask{spec: spec}, "")
-}
-
-// Exploration returns a snapshot of the exploration, if known.
-func (d *Dispatcher) Exploration(id string) (ExplorationView, bool) {
-	return d.taskView(id, ExplorationKind)
-}
-
-// ExplorationResults returns the exploration's report once it is done.
-func (d *Dispatcher) ExplorationResults(id string) (*explore.Report, string, bool, error) {
-	result, hash, _, _, ok, err := d.taskResult(id, ExplorationKind)
-	if !ok || err != nil {
-		return nil, hash, ok, err
-	}
-	return result.(*explore.Report), hash, true, nil
-}
-
-// ExplorationDone returns a channel closed when the exploration reaches
-// a terminal state, or nil for unknown explorations.
-func (d *Dispatcher) ExplorationDone(id string) <-chan struct{} { return d.TaskDone(id) }
-
-// ExplorationCounts returns the number of retained explorations per
-// status.
-func (d *Dispatcher) ExplorationCounts() map[Status]int { return d.CountsFor(ExplorationKind) }
-
-// SubmitReport validates, normalizes, and enqueues a report spec.
-func (d *Dispatcher) SubmitReport(spec report.Spec) (ReportView, error) {
-	return d.SubmitTask(ReportKind, reportTask{spec: spec}, "")
-}
-
-// Report returns a snapshot of the report, if known.
-func (d *Dispatcher) Report(id string) (ReportView, bool) { return d.taskView(id, ReportKind) }
-
-// ReportResults returns the report's result once it is done.
-func (d *Dispatcher) ReportResults(id string) (*report.Result, string, bool, error) {
-	result, hash, _, _, ok, err := d.taskResult(id, ReportKind)
-	if !ok || err != nil {
-		return nil, hash, ok, err
-	}
-	return result.(*report.Result), hash, true, nil
-}
-
-// ReportDone returns a channel closed when the report reaches a
-// terminal state, or nil for unknown reports.
-func (d *Dispatcher) ReportDone(id string) <-chan struct{} { return d.TaskDone(id) }
-
-// ReportCounts returns the number of retained reports per status.
-func (d *Dispatcher) ReportCounts() map[Status]int { return d.CountsFor(ReportKind) }

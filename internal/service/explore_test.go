@@ -32,18 +32,18 @@ func boundarySpec() explore.Spec {
 	}
 }
 
-func postExploration(t *testing.T, ts *httptest.Server, spec explore.Spec) (ExplorationView, int) {
+func postExploration(t *testing.T, ts *httptest.Server, spec explore.Spec) (TaskView, int) {
 	t.Helper()
 	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/explorations", "application/json", bytes.NewReader(b))
+	resp, err := http.Post(ts.URL+"/v1/tasks/explorations", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var view ExplorationView
+	var view TaskView
 	if resp.StatusCode == http.StatusAccepted {
 		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 			t.Fatal(err)
@@ -52,15 +52,15 @@ func postExploration(t *testing.T, ts *httptest.Server, spec explore.Spec) (Expl
 	return view, resp.StatusCode
 }
 
-func waitExplorationDone(t *testing.T, ts *httptest.Server, id string) ExplorationView {
+func waitExplorationDone(t *testing.T, ts *httptest.Server, id string) TaskView {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		b, code := get(t, ts, "/v1/explorations/"+id)
+		b, code := get(t, ts, "/v1/tasks/"+id)
 		if code != http.StatusOK {
 			t.Fatalf("status %d for exploration %s: %s", code, id, b)
 		}
-		var view ExplorationView
+		var view TaskView
 		if err := json.Unmarshal(b, &view); err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func waitExplorationDone(t *testing.T, ts *httptest.Server, id string) Explorati
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("exploration %s did not finish", id)
-	return ExplorationView{}
+	return TaskView{}
 }
 
 // TestExplorationEndToEnd is the tentpole acceptance test: a boundary
@@ -90,7 +90,7 @@ func TestExplorationEndToEnd(t *testing.T) {
 	if done1.Status != StatusDone {
 		t.Fatalf("exploration 1 = %+v", done1)
 	}
-	results1, code := get(t, ts, "/v1/explorations/"+view1.ID+"/results")
+	results1, code := get(t, ts, "/v1/tasks/"+view1.ID+"/results")
 	if code != http.StatusOK {
 		t.Fatalf("results 1: status %d: %s", code, results1)
 	}
@@ -127,7 +127,7 @@ func TestExplorationEndToEnd(t *testing.T) {
 		t.Errorf("repeat served %d/%d probes from cache, want >= 90%%",
 			done2.CacheHits, done2.CompletedRuns)
 	}
-	results2, code := get(t, ts, "/v1/explorations/"+view2.ID+"/results")
+	results2, code := get(t, ts, "/v1/tasks/"+view2.ID+"/results")
 	if code != http.StatusOK {
 		t.Fatalf("results 2: status %d", code)
 	}
@@ -154,7 +154,7 @@ func TestExplorationDeterminismAcrossWorkerCounts(t *testing.T) {
 			ts.Close()
 			t.Fatalf("workers=%d: %+v", workers, done)
 		}
-		b, code := get(t, ts, "/v1/explorations/"+view.ID+"/results")
+		b, code := get(t, ts, "/v1/tasks/"+view.ID+"/results")
 		if code != http.StatusOK {
 			ts.Close()
 			t.Fatalf("workers=%d: results status %d", workers, code)
@@ -172,10 +172,10 @@ func TestExplorationHTTPErrors(t *testing.T) {
 	ts := httptest.NewServer(NewServer(d))
 	defer ts.Close()
 
-	if _, code := get(t, ts, "/v1/explorations/nope"); code != http.StatusNotFound {
+	if _, code := get(t, ts, "/v1/tasks/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown exploration status = %d, want 404", code)
 	}
-	if _, code := get(t, ts, "/v1/explorations/nope/results"); code != http.StatusNotFound {
+	if _, code := get(t, ts, "/v1/tasks/nope/results"); code != http.StatusNotFound {
 		t.Errorf("unknown exploration results = %d, want 404", code)
 	}
 	bad := boundarySpec()
@@ -188,7 +188,7 @@ func TestExplorationHTTPErrors(t *testing.T) {
 	if _, code := postExploration(t, ts, ml); code != http.StatusBadRequest {
 		t.Errorf("ML spec status = %d, want 400", code)
 	}
-	resp, err := http.Post(ts.URL+"/v1/explorations", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/tasks/explorations", "application/json",
 		bytes.NewReader([]byte(`{"warp_factor": 9}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -281,8 +281,9 @@ func TestExplorationAndJobsShareQueue(t *testing.T) {
 	if err := json.Unmarshal(b, &health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Jobs[StatusDone] != 1 || health.Explorations[StatusDone] != 1 {
-		t.Errorf("healthz counts = jobs %v explorations %v", health.Jobs, health.Explorations)
+	jobs, explorations := health.Tasks[JobKind.Plural], health.Tasks[ExplorationKind.Plural]
+	if jobs[StatusDone] != 1 || explorations[StatusDone] != 1 {
+		t.Errorf("healthz counts = jobs %v explorations %v", jobs, explorations)
 	}
 }
 
@@ -295,7 +296,7 @@ func TestDrainFinishesQueuedExplorations(t *testing.T) {
 	}
 	spec := boundarySpec()
 	spec.Steps = 400
-	if _, err := d.SubmitExploration(spec); err != nil {
+	if _, err := d.SubmitTask(ExplorationKind, exploreTask{spec: spec}, ""); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -303,10 +304,10 @@ func TestDrainFinishesQueuedExplorations(t *testing.T) {
 	if err := d.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if _, err := d.SubmitExploration(spec); err != ErrDraining {
+	if _, err := d.SubmitTask(ExplorationKind, exploreTask{spec: spec}, ""); err != ErrDraining {
 		t.Errorf("post-drain submit err = %v, want ErrDraining", err)
 	}
-	if counts := d.ExplorationCounts(); counts[StatusDone] != 1 {
+	if counts := d.TaskCounts()[ExplorationKind.Plural]; counts[StatusDone] != 1 {
 		t.Errorf("done explorations after drain = %v", counts)
 	}
 }

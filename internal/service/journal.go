@@ -61,10 +61,6 @@ type journalRecord struct {
 	// Spec is the wire JSON of the spec as submitted (submit only); it
 	// round-trips through the kind's strict Decode on replay.
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// ResultHash fingerprints a done task's wire-shaped result (the
-	// SHA-256 of its results-endpoint encoding), so recovered re-runs can
-	// be audited against the pre-crash outcome.
-	ResultHash string `json:"result_hash,omitempty"`
 	// Error is the failure message (failed only).
 	Error string    `json:"error,omitempty"`
 	At    time.Time `json:"at"`

@@ -125,8 +125,8 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	if v := vals[`adasim_runs_total{outcome="ok"}`]; v < 1 {
 		t.Errorf("runs_total{ok} = %v, want >= 1", v)
 	}
-	if c, s := vals[`adasim_http_requests_total{route="/v1/jobs/{id}",method="GET",status="2xx"}`],
-		vals[`adasim_http_request_seconds_count{route="/v1/jobs/{id}",method="GET"}`]; c < 1 || c != s {
+	if c, s := vals[`adasim_http_requests_total{route="/v1/tasks/{id}",method="GET",status="2xx"}`],
+		vals[`adasim_http_request_seconds_count{route="/v1/tasks/{id}",method="GET"}`]; c < 1 || c != s {
 		t.Errorf("http status-class count %v and duration count %v disagree or are zero", c, s)
 	}
 }
@@ -217,12 +217,8 @@ func TestTaskTimeline(t *testing.T) {
 	}
 	assertLifecycle(t, resp.Events, EventDone)
 
-	// The per-kind alias serves the same timeline; a kind mismatch 404s.
-	if _, code := get(t, ts, "/v1/jobs/"+view.ID+"/events"); code != http.StatusOK {
-		t.Errorf("per-kind events route: status %d", code)
-	}
-	if _, code := get(t, ts, "/v1/reports/"+view.ID+"/events"); code != http.StatusNotFound {
-		t.Errorf("cross-kind events route: status %d, want 404", code)
+	if _, code := get(t, ts, "/v1/tasks/nope/events"); code != http.StatusNotFound {
+		t.Errorf("unknown task events route: status %d, want 404", code)
 	}
 }
 
@@ -338,7 +334,7 @@ func TestTimelineWatchCancelRace(t *testing.T) {
 	for i := 0; i < tasks; i++ {
 		s := spec
 		s.BaseSeed = int64(100 + i) // distinct seeds: no cross-task caching
-		view, err := d.Submit(s)
+		view, err := d.SubmitTask(JobKind, s, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +376,7 @@ func TestTimelineWatchCancelRace(t *testing.T) {
 
 	// Every task is terminal (canceled or done) and its timeline ends on
 	// the matching terminal event.
-	counts := d.JobCounts()
+	counts := d.TaskCounts()[JobKind.Plural]
 	if got := counts[StatusDone] + counts[StatusCanceled] + counts[StatusFailed]; got != tasks {
 		t.Fatalf("terminal tasks = %d (%v), want %d", got, counts, tasks)
 	}
@@ -401,11 +397,11 @@ func TestProgressStride(t *testing.T) {
 // finished task returns the whole timeline as past and a closed channel.
 func TestWatchAlreadyTerminal(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 2, QueueSize: 8, CacheEntries: 64})
-	view, err := d.Submit(smallSpec())
+	view, err := d.SubmitTask(JobKind, smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-d.Done(view.ID)
+	<-d.TaskDone(view.ID)
 	past, ch, stop, ok := d.WatchTask(view.ID)
 	if !ok {
 		t.Fatal("unknown task")

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -73,10 +74,10 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	{
 		d := newTestDispatcher(t, Config{Workers: 2, QueueSize: 16, CacheEntries: 256})
 		for name, submit := range map[string]func() (TaskView, error){
-			"j1": func() (TaskView, error) { return d.Submit(j1Spec) },
-			"j3": func() (TaskView, error) { return d.Submit(j3Spec) },
-			"x1": func() (TaskView, error) { return d.SubmitExploration(x1Spec) },
-			"r1": func() (TaskView, error) { return d.SubmitReport(r1Spec) },
+			"j1": func() (TaskView, error) { return d.SubmitTask(JobKind, j1Spec, "") },
+			"j3": func() (TaskView, error) { return d.SubmitTask(JobKind, j3Spec, "") },
+			"x1": func() (TaskView, error) { return d.SubmitTask(ExplorationKind, exploreTask{spec: x1Spec}, "") },
+			"r1": func() (TaskView, error) { return d.SubmitTask(ReportKind, reportTask{spec: r1Spec}, "") },
 		} {
 			v, err := submit()
 			if err != nil {
@@ -89,10 +90,10 @@ func TestKillAndRestartRecovery(t *testing.T) {
 		}
 	}
 
-	// Pre-seed j1's runs into cacheDir in the legacy one-JSON-file-
-	// per-entry layout: the crashing dispatcher must serve them through
-	// read-through migration, folding them into the segment store that
-	// the post-crash dispatcher then recovers from.
+	// Pre-seed j1's runs into cacheDir's segment store, as a previous
+	// daemon would have left them: the crashing dispatcher must serve
+	// them from disk, and the post-crash dispatcher then recovers from
+	// the same store.
 	plan, err := j1Spec.Normalized().Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -105,19 +106,14 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pr := range plan {
-		b, err := json.Marshal(seeded[i].Outcome)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shard := filepath.Join(cacheDir, pr.CacheKey[:2])
-		if err := os.MkdirAll(shard, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(shard, pr.CacheKey+".json"), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	warm, err := NewResultCache(len(plan), cacheDir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i, pr := range plan {
+		warm.Put(pr.CacheKey, seeded[i].Outcome)
+	}
+	warm.Close()
 
 	// The crashing dispatcher: submit everything, let j1 finish (seeding
 	// the disk cache), then halt while j2 occupies the scheduler and
@@ -128,30 +124,30 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := d1.Submit(j1Spec)
+	j1, err := d1.SubmitTask(JobKind, j1Spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final := finalViews(t, d1, j1.ID)[j1.ID]; final.Status != StatusDone {
 		t.Fatalf("j1 pre-crash: %+v", final)
 	}
-	// Every j1 run was served by migrating a legacy JSON entry.
+	// Every j1 run was served from the warm segment store.
 	if hits := finalViews(t, d1, j1.ID)[j1.ID].CacheHits; hits != len(plan) {
-		t.Fatalf("j1 cache hits = %d, want %d (legacy pre-seed should have served it)", hits, len(plan))
+		t.Fatalf("j1 cache hits = %d, want %d (warm pre-seed should have served it)", hits, len(plan))
 	}
-	if st := d1.Cache().Stats(); st.Disk == nil || st.Disk.Migrations != int64(len(plan)) {
-		t.Fatalf("legacy migrations = %+v, want %d", st.Disk, len(plan))
+	if st := d1.Cache().Stats(); st.DiskHits != int64(len(plan)) {
+		t.Fatalf("j1 disk hits = %d, want %d", st.DiskHits, len(plan))
 	}
 	j2 := submitOccupier(t, d1, 60)
-	j3, err := d1.Submit(j3Spec)
+	j3, err := d1.SubmitTask(JobKind, j3Spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	x1, err := d1.SubmitExploration(x1Spec)
+	x1, err := d1.SubmitTask(ExplorationKind, exploreTask{spec: x1Spec}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := d1.SubmitReport(r1Spec)
+	r1, err := d1.SubmitTask(ReportKind, reportTask{spec: r1Spec}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +231,7 @@ func TestRecoveredSubmissionOrder(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		spec := smallSpec()
 		spec.BaseSeed = seed
-		v, err := d1.Submit(spec)
+		v, err := d1.SubmitTask(JobKind, spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +254,7 @@ func TestRecoveredSubmissionOrder(t *testing.T) {
 
 	// New submissions must not collide with recovered IDs: the sequence
 	// floor was restored from the journal.
-	v, err := d2.Submit(smallSpec())
+	v, err := d2.SubmitTask(JobKind, smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +262,53 @@ func TestRecoveredSubmissionOrder(t *testing.T) {
 		if v.ID == id {
 			t.Fatalf("new submission reused recovered ID %s", id)
 		}
+	}
+}
+
+// parentJournalSegment is a journal segment in the format written before
+// done records lost their result_hash field: four job submissions, one
+// done (carrying "result_hash"), one failed. Two tasks stay live.
+const parentJournalSegment = `{"op":"submit","id":"j000001-0a1b2c3d","seq":1,"kind":"jobs","priority":"interactive","spec":{"scenarios":[1],"gaps":[60],"reps":1,"steps":200,"base_seed":1,"fault":{"target":1,"distance_tiers":[{"below":20,"offset":38},{"below":25,"offset":15},{"below":80,"offset":10}],"curvature_offset":0.0123,"curvature_duration":10,"curvature_ramp":5},"interventions":{"driver":true,"safety_check":true}},"at":"2026-10-16T09:00:01Z"}
+{"op":"submit","id":"j000002-1b2c3d4e","seq":2,"kind":"jobs","priority":"interactive","spec":{"scenarios":[1],"gaps":[60],"reps":1,"steps":200,"base_seed":2,"fault":{"target":1,"distance_tiers":[{"below":20,"offset":38},{"below":25,"offset":15},{"below":80,"offset":10}],"curvature_offset":0.0123,"curvature_duration":10,"curvature_ramp":5},"interventions":{"driver":true,"safety_check":true}},"at":"2026-10-16T09:00:02Z"}
+{"op":"done","id":"j000001-0a1b2c3d","result_hash":"9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08","at":"2026-10-16T09:00:03Z"}
+{"op":"submit","id":"j000003-2c3d4e5f","seq":3,"kind":"jobs","priority":"bulk","spec":{"scenarios":[1],"gaps":[60],"reps":1,"steps":200,"base_seed":3,"fault":{"target":1,"distance_tiers":[{"below":20,"offset":38},{"below":25,"offset":15},{"below":80,"offset":10}],"curvature_offset":0.0123,"curvature_duration":10,"curvature_ramp":5},"interventions":{"driver":true,"safety_check":true}},"at":"2026-10-16T09:00:04Z"}
+{"op":"submit","id":"j000004-3d4e5f60","seq":4,"kind":"jobs","priority":"interactive","spec":{"scenarios":[1],"gaps":[60],"reps":1,"steps":200,"base_seed":4,"fault":{"target":1,"distance_tiers":[{"below":20,"offset":38},{"below":25,"offset":15},{"below":80,"offset":10}],"curvature_offset":0.0123,"curvature_duration":10,"curvature_ramp":5},"interventions":{"driver":true,"safety_check":true}},"at":"2026-10-16T09:00:05Z"}
+{"op":"failed","id":"j000004-3d4e5f60","error":"boom","at":"2026-10-16T09:00:06Z"}
+`
+
+// TestRecoverParentFormatJournal pins replay of a journal written in the
+// older format: the obsolete "result_hash" field on done records is
+// ignored, and recovery gives the same stats and the same recovered
+// IDs as the format that wrote it.
+func TestRecoverParentFormatJournal(t *testing.T) {
+	journalDir := t.TempDir()
+	seg := filepath.Join(journalDir, fmt.Sprintf(journalSegPattern, 1))
+	if err := os.WriteFile(seg, []byte(parentJournalSegment), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := newTestDispatcher(t, Config{Workers: 1, QueueSize: 16, CacheEntries: 64, JournalDir: journalDir})
+	want := RecoveryStats{Segments: 1, RecoveredTasks: 2, TerminalTasks: 2}
+	if got := d.Recovery(); got == nil || *got != want {
+		t.Fatalf("recovery = %+v, want %+v", got, want)
+	}
+	for _, id := range []string{"j000001-0a1b2c3d", "j000004-3d4e5f60"} {
+		if _, ok := d.Task(id); ok {
+			t.Errorf("terminal task %s was recovered", id)
+		}
+	}
+	recovered := []string{"j000002-1b2c3d4e", "j000003-2c3d4e5f"}
+	for id, v := range finalViews(t, d, recovered...) {
+		if v.Status != StatusDone {
+			t.Errorf("recovered task %s: %+v", id, v)
+		}
+	}
+	// The sequence floor came from the journal's submissions.
+	v, err := d.SubmitTask(JobKind, smallSpec(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(v.ID, "j000005-") {
+		t.Errorf("first post-recovery ID = %s, want sequence 5", v.ID)
 	}
 }
 
@@ -303,7 +346,7 @@ func TestHealthzJournalFields(t *testing.T) {
 
 	journaled := newTestDispatcher(t, Config{Workers: 1, QueueSize: 4,
 		CacheEntries: 16, JournalDir: t.TempDir()})
-	if _, err := journaled.Submit(smallSpec()); err != nil {
+	if _, err := journaled.SubmitTask(JobKind, smallSpec(), ""); err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(NewServer(journaled))

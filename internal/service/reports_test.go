@@ -21,18 +21,18 @@ func smallReportSpec() report.Spec {
 	return report.Spec{Artifacts: []string{report.Table4}, Reps: 1, Steps: 300, BaseSeed: 7}
 }
 
-func postReport(t *testing.T, ts *httptest.Server, spec report.Spec) (ReportView, int) {
+func postReport(t *testing.T, ts *httptest.Server, spec report.Spec) (TaskView, int) {
 	t.Helper()
 	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/reports", "application/json", bytes.NewReader(b))
+	resp, err := http.Post(ts.URL+"/v1/tasks/reports", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var view ReportView
+	var view TaskView
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode == http.StatusAccepted {
 		if err := json.Unmarshal(body, &view); err != nil {
@@ -43,15 +43,15 @@ func postReport(t *testing.T, ts *httptest.Server, spec report.Spec) (ReportView
 }
 
 // waitReportDone polls the status endpoint until the report is terminal.
-func waitReportDone(t *testing.T, ts *httptest.Server, id string) ReportView {
+func waitReportDone(t *testing.T, ts *httptest.Server, id string) TaskView {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		b, code := get(t, ts, "/v1/reports/"+id)
+		b, code := get(t, ts, "/v1/tasks/"+id)
 		if code != http.StatusOK {
 			t.Fatalf("status %d for report %s: %s", code, id, b)
 		}
-		var view ReportView
+		var view TaskView
 		if err := json.Unmarshal(b, &view); err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func waitReportDone(t *testing.T, ts *httptest.Server, id string) ReportView {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("report %s did not finish", id)
-	return ReportView{}
+	return TaskView{}
 }
 
 // TestReportEndToEnd drives a report through the HTTP API and pins the
@@ -79,7 +79,7 @@ func TestReportEndToEnd(t *testing.T) {
 	if done.Status != StatusDone {
 		t.Fatalf("report = %+v", done)
 	}
-	body, code := get(t, ts, "/v1/reports/"+view.ID+"/results")
+	body, code := get(t, ts, "/v1/tasks/"+view.ID+"/results")
 	if code != http.StatusOK {
 		t.Fatalf("results: status %d: %s", code, body)
 	}
@@ -125,7 +125,7 @@ func TestReportDeterminismAcrossWorkerCountsAndCache(t *testing.T) {
 			ts.Close()
 			t.Fatalf("workers=%d: %+v", workers, done)
 		}
-		cold, code := get(t, ts, "/v1/reports/"+view.ID+"/results")
+		cold, code := get(t, ts, "/v1/tasks/"+view.ID+"/results")
 		if code != http.StatusOK {
 			ts.Close()
 			t.Fatalf("workers=%d: results status %d", workers, code)
@@ -143,7 +143,7 @@ func TestReportDeterminismAcrossWorkerCountsAndCache(t *testing.T) {
 		if done2.CacheHits == 0 {
 			t.Errorf("workers=%d: warm report reported no cache hits", workers)
 		}
-		warm, _ := get(t, ts, "/v1/reports/"+view2.ID+"/results")
+		warm, _ := get(t, ts, "/v1/tasks/"+view2.ID+"/results")
 		if !bytes.Equal(cold, warm) {
 			t.Errorf("workers=%d: cold and warm report results are not byte-identical", workers)
 		}
@@ -163,24 +163,24 @@ func TestReportAfterJobsServedFromCache(t *testing.T) {
 	const steps = 300
 
 	for _, c := range experiments.TableVICampaigns(experiments.TableVIRows(nil)) {
-		view, err := d.Submit(JobSpec{
+		view, err := d.SubmitTask(JobKind, JobSpec{
 			Reps: 1, Steps: steps, BaseSeed: 1, Salt: c.Salt,
 			Fault: c.Fault, Interventions: c.Interventions,
-		})
+		}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-d.Done(view.ID)
+		<-d.TaskDone(view.ID)
 	}
 
-	view, err := d.SubmitReport(report.Spec{
+	view, err := d.SubmitTask(ReportKind, reportTask{spec: report.Spec{
 		Artifacts: []string{report.Table6}, Reps: 1, Steps: steps, BaseSeed: 1,
-	})
+	}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-d.ReportDone(view.ID)
-	final, _ := d.Report(view.ID)
+	<-d.TaskDone(view.ID)
+	final, _ := d.Task(view.ID)
 	if final.Status != StatusDone {
 		t.Fatalf("report = %+v", final)
 	}
@@ -194,7 +194,7 @@ func TestReportAfterJobsServedFromCache(t *testing.T) {
 }
 
 // TestReportServesGoldenTable6 closes the loop on the acceptance
-// criterion: the table6 artifact served by GET /v1/reports/{id}/results
+// criterion: the table6 artifact served by GET /v1/tasks/{id}/results
 // for the reduced-reps spec is byte-identical to the committed golden —
 // which the report engine tests also pin against `cmd/tables -reps 2
 // -only 6` output, since both are the same engine.
@@ -207,16 +207,16 @@ func TestReportServesGoldenTable6(t *testing.T) {
 		t.Fatalf("reading report golden: %v", err)
 	}
 	d := newTestDispatcher(t, Config{Workers: 4, QueueSize: 4, CacheEntries: 1 << 14})
-	view, err := d.SubmitReport(report.Spec{Artifacts: []string{report.Table6}, Reps: 2, BaseSeed: 1})
+	view, err := d.SubmitTask(ReportKind, reportTask{spec: report.Spec{Artifacts: []string{report.Table6}, Reps: 2, BaseSeed: 1}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-d.ReportDone(view.ID)
-	res, _, ok, err := d.ReportResults(view.ID)
+	<-d.TaskDone(view.ID)
+	res, _, _, _, ok, err := d.taskResult(view.ID)
 	if !ok || err != nil {
 		t.Fatalf("results: ok=%v err=%v", ok, err)
 	}
-	a := res.Artifact(report.Table6)
+	a := res.(*report.Result).Artifact(report.Table6)
 	if a == nil {
 		t.Fatal("no table6 artifact")
 	}
@@ -231,16 +231,16 @@ func TestReportHTTPErrors(t *testing.T) {
 	ts := httptest.NewServer(NewServer(d))
 	defer ts.Close()
 
-	if _, code := get(t, ts, "/v1/reports/nope"); code != http.StatusNotFound {
+	if _, code := get(t, ts, "/v1/tasks/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown report status = %d, want 404", code)
 	}
-	if _, code := get(t, ts, "/v1/reports/nope/results"); code != http.StatusNotFound {
+	if _, code := get(t, ts, "/v1/tasks/nope/results"); code != http.StatusNotFound {
 		t.Errorf("unknown report results = %d, want 404", code)
 	}
 	if _, code := postReport(t, ts, report.Spec{Artifacts: []string{"table9"}}); code != http.StatusBadRequest {
 		t.Errorf("unknown artifact status = %d, want 400", code)
 	}
-	resp, err := http.Post(ts.URL+"/v1/reports", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/tasks/reports", "application/json",
 		bytes.NewReader([]byte(`{"nonsense_field": 1}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestPostContentTypeEnforced(t *testing.T) {
 	ts := httptest.NewServer(NewServer(d))
 	defer ts.Close()
 
-	for _, path := range []string{"/v1/jobs", "/v1/explorations", "/v1/reports"} {
+	for _, path := range []string{"/v1/tasks/jobs", "/v1/tasks/explorations", "/v1/tasks/reports"} {
 		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(`{}`))
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +286,7 @@ func TestPostContentTypeEnforced(t *testing.T) {
 	// reach the decoder (and fail validation, not content negotiation).
 	spec := smallReportSpec()
 	b, _ := json.Marshal(spec)
-	resp, err := http.Post(ts.URL+"/v1/reports", "application/json; charset=utf-8", bytes.NewReader(b))
+	resp, err := http.Post(ts.URL+"/v1/tasks/reports", "application/json; charset=utf-8", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestPostContentTypeEnforced(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Errorf("json+charset submit: status %d, want 202", resp.StatusCode)
 	}
-	req, err := http.NewRequest("POST", ts.URL+"/v1/reports", bytes.NewReader(b))
+	req, err := http.NewRequest("POST", ts.URL+"/v1/tasks/reports", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,20 +318,20 @@ func TestReportRecordRetention(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		spec := smallReportSpec()
 		spec.BaseSeed = int64(100 + i) // distinct reports
-		view, err := d.SubmitReport(spec)
+		view, err := d.SubmitTask(ReportKind, reportTask{spec: spec}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-d.ReportDone(view.ID)
+		<-d.TaskDone(view.ID)
 		ids = append(ids, view.ID)
 	}
 	for i, id := range ids {
-		_, ok := d.Report(id)
+		_, ok := d.Task(id)
 		if wantKept := i >= 2; ok != wantKept {
 			t.Errorf("report %d (%s) retained = %v, want %v", i, id, ok, wantKept)
 		}
 	}
-	if counts := d.ReportCounts(); counts[StatusDone] != 2 {
+	if counts := d.TaskCounts()[ReportKind.Plural]; counts[StatusDone] != 2 {
 		t.Errorf("retained done reports = %d, want 2 (%v)", counts[StatusDone], counts)
 	}
 }
@@ -353,7 +353,7 @@ func TestHealthReportsCounts(t *testing.T) {
 	if err := json.Unmarshal(b, &health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Reports[StatusDone] != 1 {
-		t.Errorf("healthz reports = %v, want one done", health.Reports)
+	if reports := health.Tasks[ReportKind.Plural]; reports[StatusDone] != 1 {
+		t.Errorf("healthz reports = %v, want one done", reports)
 	}
 }

@@ -21,8 +21,7 @@
 //
 //   - payload integrity is a CRC-32C checked on read (not at boot, so
 //     index build stays a header walk): a failing record is dropped
-//     from the index and counted once, the segment-store analog of the
-//     JSON tier's <key>.corrupt quarantine;
+//     from the index and counted once;
 //
 //   - records are immutable under their content-hash keys, so dead
 //     bytes only arise from dropped corrupt records and boot-scan
@@ -132,9 +131,6 @@ type SegmentStoreStats struct {
 	// dropped to stay under MaxBytes.
 	GCSegments int64 `json:"gc_segments"`
 	GCBytes    int64 `json:"gc_bytes"`
-	// Migrations counts legacy JSON entries folded into segments on
-	// first read.
-	Migrations int64 `json:"migrations"`
 	// CorruptRecords counts torn tails truncated at boot and records
 	// dropped on a CRC mismatch; each is counted once.
 	CorruptRecords int64 `json:"corrupt_records"`
@@ -557,8 +553,7 @@ func (s *segStore) createSegment(seq int) (*cacheSegment, error) {
 }
 
 // read returns the payload stored under key, CRC-verified. A mismatch
-// drops the record from the index (counted once, the quarantine analog)
-// and reads as a miss. A closed store reads as a plain miss: requests
+// drops the record from the index (counted once) and reads as a miss. A closed store reads as a plain miss: requests
 // racing Drain/Close must not touch the released descriptors (and
 // inflate the disk-error counters on every shutdown doing so).
 func (s *segStore) read(key string) ([]byte, bool) {
@@ -587,19 +582,6 @@ func (s *segStore) read(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return buf[4:], true
-}
-
-// has reports whether key currently resolves on disk. A closed store
-// resolves nothing (matching read), so migration callers keep their
-// legacy files instead of trusting a store that can no longer serve.
-func (s *segStore) has(key string) bool {
-	s.mu.RLock()
-	ok := false
-	if !s.closed {
-		_, ok = s.index[key]
-	}
-	s.mu.RUnlock()
-	return ok
 }
 
 // drop removes key's index entry if it still points at ref, turning the
@@ -896,7 +878,6 @@ func (s *segStore) stats() SegmentStoreStats {
 		Compactions:    int64(s.met.compactions.Value()),
 		GCSegments:     int64(s.met.gcSegments.Value()),
 		GCBytes:        int64(s.met.gcBytes.Value()),
-		Migrations:     int64(s.met.migrations.Value()),
 		CorruptRecords: int64(s.met.corrupt.Value()),
 	}
 	for _, seg := range s.segs {

@@ -27,13 +27,8 @@ import (
 //	GET    /v1/scenarios              scenarios + family catalogue   -> 200
 //	GET    /healthz                   liveness, queue + cache view   -> 200
 //
-// and the pre-runtime per-kind routes are aliases of them (POST
-// /v1/jobs, GET /v1/explorations/{id}/results, ...; the per-kind
-// GET/DELETE aliases additionally 404 on an ID of another kind).
-// Results endpoints are byte-compatible with the pre-runtime API;
-// status endpoints serve the unified TaskView on every route (the old
-// per-kind views are gone — exploration progress moved from
-// completed_probes to completed_runs).
+// Status endpoints serve the unified TaskView for every kind; results
+// endpoints serve the kind's wire format.
 //
 // Submissions may carry ?priority=interactive|bulk to override the
 // kind's default scheduling class. Submission errors map uniformly for
@@ -55,25 +50,19 @@ type Server struct {
 const MaxSpecBytes = 1 << 20
 
 // NewServer wires the routes: the generic task routes plus, per
-// registered kind, the submission route and the legacy aliases. Every
-// route is wrapped in the metrics middleware (request count and
-// duration per route pattern, method, and status class — the pattern,
-// never the raw path, is the label, so cardinality is the route table).
+// registered kind, its submission route. Every route is wrapped in the
+// metrics middleware (request count and duration per route pattern,
+// method, and status class — the pattern, never the raw path, is the
+// label, so cardinality is the route table).
 func NewServer(d *Dispatcher) *Server {
 	s := &Server{d: d, mux: http.NewServeMux()}
 	for _, k := range Kinds() {
 		s.route("POST /v1/tasks/"+k.Plural, s.limitSubmit(requireJSON(s.handleSubmit(k))))
-		// Legacy per-kind aliases (kind-checked on GET/DELETE).
-		s.route("POST /v1/"+k.Plural, s.limitSubmit(requireJSON(s.handleSubmit(k))))
-		s.route("GET /v1/"+k.Plural+"/{id}", s.handleTask(k))
-		s.route("GET /v1/"+k.Plural+"/{id}/results", s.handleTaskResults(k))
-		s.route("GET /v1/"+k.Plural+"/{id}/events", s.handleTaskEvents(k))
-		s.route("DELETE /v1/"+k.Plural+"/{id}", s.handleCancel(k))
 	}
-	s.route("GET /v1/tasks/{id}", s.handleTask(nil))
-	s.route("GET /v1/tasks/{id}/results", s.handleTaskResults(nil))
-	s.route("GET /v1/tasks/{id}/events", s.handleTaskEvents(nil))
-	s.route("DELETE /v1/tasks/{id}", s.handleCancel(nil))
+	s.route("GET /v1/tasks/{id}", s.handleTask)
+	s.route("GET /v1/tasks/{id}/results", s.handleTaskResults)
+	s.route("GET /v1/tasks/{id}/events", s.handleTaskEvents)
+	s.route("DELETE /v1/tasks/{id}", s.handleCancel)
 	s.route("GET /v1/scenarios", s.handleScenarios)
 	s.route("POST /v1/worker/register", requireJSON(s.handleWorkerRegister))
 	s.route("POST /v1/worker/lease", requireJSON(s.handleWorkerLease))
@@ -198,18 +187,15 @@ type ScenariosResponse struct {
 }
 
 // HealthResponse reports liveness plus a queue, pool, and cache
-// snapshot. The legacy per-kind count maps are kept alongside the
-// generic Tasks map.
+// snapshot. Tasks counts retained records per kind (keyed by the kind's
+// plural route segment) and status.
 type HealthResponse struct {
-	Status       string                    `json:"status"` // "ok" or "draining"
-	Workers      int                       `json:"workers"`
-	QueueDepth   int                       `json:"queue_depth"`
-	Queue        QueueStats                `json:"queue"`
-	Tasks        map[string]map[Status]int `json:"tasks"`
-	Jobs         map[Status]int            `json:"jobs"`
-	Explorations map[Status]int            `json:"explorations"`
-	Reports      map[Status]int            `json:"reports"`
-	Cache        CacheStats                `json:"cache"`
+	Status     string                    `json:"status"` // "ok" or "draining"
+	Workers    int                       `json:"workers"`
+	QueueDepth int                       `json:"queue_depth"`
+	Queue      QueueStats                `json:"queue"`
+	Tasks      map[string]map[Status]int `json:"tasks"`
+	Cache      CacheStats                `json:"cache"`
 	// RemoteWorkers summarizes the attached worker fleet: connected
 	// workers, live leases, and the lease/re-queue counters.
 	RemoteWorkers WorkerFleetStats `json:"remote_workers"`
@@ -275,45 +261,37 @@ func writeSubmitOutcome(w http.ResponseWriter, view TaskView, err error) {
 	}
 }
 
-// routeName is the noun of "unknown ..." messages: the kind's name on
-// the legacy per-kind routes, "task" on the generic /v1/tasks routes
-// (kind == nil).
-func routeName(k *TaskKind) string {
-	if k != nil {
-		return k.Name
-	}
-	return "task"
+// unknownTask is the 404 every task route answers for an ID it does
+// not know.
+func unknownTask(w http.ResponseWriter, id string) {
+	writeError(w, http.StatusNotFound, fmt.Errorf("unknown task %q", id))
 }
 
-func (s *Server) handleTask(k *TaskKind) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		view, ok := s.d.taskView(id, k)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s %q", routeName(k), id))
-			return
-		}
-		writeJSON(w, http.StatusOK, view)
+func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	view, ok := s.d.Task(id)
+	if !ok {
+		unknownTask(w, id)
+		return
 	}
+	writeJSON(w, http.StatusOK, view)
 }
 
-func (s *Server) handleTaskResults(k *TaskKind) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		result, hash, kind, sole, ok, err := s.d.taskResult(id, k)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s %q", routeName(k), id))
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusConflict, err)
-			return
-		}
-		if sole != nil && s.serveSoleRun(w, hash, sole, result) {
-			return
-		}
-		writeJSON(w, http.StatusOK, kind.Wire(hash, result))
+func (s *Server) handleTaskResults(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	result, hash, kind, sole, ok, err := s.d.taskResult(id)
+	if !ok {
+		unknownTask(w, id)
+		return
 	}
+	if err != nil {
+		writeError(w, http.StatusConflict, err)
+		return
+	}
+	if sole != nil && s.serveSoleRun(w, hash, sole, result) {
+		return
+	}
+	writeJSON(w, http.StatusOK, kind.Wire(hash, result))
 }
 
 // rawRunOutcome mirrors experiments.RunOutcome's wire shape but splices
@@ -372,20 +350,18 @@ func (s *Server) serveSoleRun(w http.ResponseWriter, hash string, sole *SoleRunR
 // events first, then each new one as it happens, closing right after
 // the terminal event. Events may be dropped on a stalled consumer
 // (see timelineSubBuffer); the terminal close is never lost.
-func (s *Server) handleTaskEvents(k *TaskKind) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if wantsEventStream(r) {
-			s.streamTaskEvents(w, r, k, id)
-			return
-		}
-		events, ok := s.d.taskEvents(id, k)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s %q", routeName(k), id))
-			return
-		}
-		writeJSON(w, http.StatusOK, TaskEventsResponse{ID: id, Events: events})
+func (s *Server) handleTaskEvents(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	if wantsEventStream(r) {
+		s.streamTaskEvents(w, r, id)
+		return
 	}
+	events, ok := s.d.TaskEvents(id)
+	if !ok {
+		unknownTask(w, id)
+		return
+	}
+	writeJSON(w, http.StatusOK, TaskEventsResponse{ID: id, Events: events})
 }
 
 // wantsEventStream reports whether the request negotiated SSE.
@@ -399,15 +375,15 @@ func wantsEventStream(r *http.Request) bool {
 	return false
 }
 
-func (s *Server) streamTaskEvents(w http.ResponseWriter, r *http.Request, k *TaskKind, id string) {
+func (s *Server) streamTaskEvents(w http.ResponseWriter, r *http.Request, id string) {
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {
 		writeError(w, http.StatusNotAcceptable, fmt.Errorf("event stream unsupported on this connection"))
 		return
 	}
-	past, live, stop, ok := s.d.watchTask(id, k)
+	past, live, stop, ok := s.d.WatchTask(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s %q", routeName(k), id))
+		unknownTask(w, id)
 		return
 	}
 	defer stop()
@@ -449,21 +425,19 @@ func writeSSEEvent(w io.Writer, ev TimelineEvent) error {
 	return err
 }
 
-func (s *Server) handleCancel(k *TaskKind) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		view, err := s.d.cancelTask(id, k)
-		switch {
-		case errors.Is(err, ErrUnknownTask):
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s %q", routeName(k), id))
-		case errors.Is(err, ErrTaskTerminal):
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("%s %s is already %s", view.Kind, view.ID, view.Status))
-		case err != nil:
-			writeError(w, http.StatusInternalServerError, err)
-		default:
-			writeJSON(w, http.StatusOK, view)
-		}
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	view, err := s.d.Cancel(id)
+	switch {
+	case errors.Is(err, ErrUnknownTask):
+		unknownTask(w, id)
+	case errors.Is(err, ErrTaskTerminal):
+		writeError(w, http.StatusConflict,
+			fmt.Errorf("%s %s is already %s", view.Kind, view.ID, view.Status))
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, err)
+	default:
+		writeJSON(w, http.StatusOK, view)
 	}
 }
 
@@ -484,17 +458,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.d.Draining() {
 		status = "draining"
 	}
-	tasks := s.d.TaskCounts()
 	queue := s.d.QueueStats()
 	resp := HealthResponse{
 		Status:        status,
 		Workers:       s.d.Workers(),
 		QueueDepth:    queue.Depth,
 		Queue:         queue,
-		Tasks:         tasks,
-		Jobs:          tasks[JobKind.Plural],
-		Explorations:  tasks[ExplorationKind.Plural],
-		Reports:       tasks[ReportKind.Plural],
+		Tasks:         s.d.TaskCounts(),
 		Cache:         s.d.Cache().Stats(),
 		RemoteWorkers: s.d.hub.FleetStats(),
 	}

@@ -46,18 +46,18 @@ func newTestDispatcher(t *testing.T, cfg Config) *Dispatcher {
 	return d
 }
 
-func postJob(t *testing.T, ts *httptest.Server, spec JobSpec) (JobView, int) {
+func postJob(t *testing.T, ts *httptest.Server, spec JobSpec) (TaskView, int) {
 	t.Helper()
 	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
+	resp, err := http.Post(ts.URL+"/v1/tasks/jobs", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var view JobView
+	var view TaskView
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode == http.StatusAccepted {
 		if err := json.Unmarshal(body, &view); err != nil {
@@ -82,15 +82,15 @@ func get(t *testing.T, ts *httptest.Server, path string) ([]byte, int) {
 }
 
 // waitDone polls the status endpoint until the job is terminal.
-func waitDone(t *testing.T, ts *httptest.Server, id string) JobView {
+func waitDone(t *testing.T, ts *httptest.Server, id string) TaskView {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		b, code := get(t, ts, "/v1/jobs/"+id)
+		b, code := get(t, ts, "/v1/tasks/"+id)
 		if code != http.StatusOK {
 			t.Fatalf("status %d for job %s: %s", code, id, b)
 		}
-		var view JobView
+		var view TaskView
 		if err := json.Unmarshal(b, &view); err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) JobView {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish", id)
-	return JobView{}
+	return TaskView{}
 }
 
 // TestEndToEndCacheHit is the tentpole acceptance test: submitting the
@@ -123,7 +123,7 @@ func TestEndToEndCacheHit(t *testing.T) {
 	if done1.CacheHits != 0 {
 		t.Errorf("cold job reported %d cache hits", done1.CacheHits)
 	}
-	results1, code := get(t, ts, "/v1/jobs/"+view1.ID+"/results")
+	results1, code := get(t, ts, "/v1/tasks/"+view1.ID+"/results")
 	if code != http.StatusOK {
 		t.Fatalf("results 1: status %d: %s", code, results1)
 	}
@@ -145,7 +145,7 @@ func TestEndToEndCacheHit(t *testing.T) {
 	if done2.CacheHits != done2.TotalRuns || done2.TotalRuns == 0 {
 		t.Errorf("warm job cache hits = %d of %d runs, want all", done2.CacheHits, done2.TotalRuns)
 	}
-	results2, code := get(t, ts, "/v1/jobs/"+view2.ID+"/results")
+	results2, code := get(t, ts, "/v1/tasks/"+view2.ID+"/results")
 	if code != http.StatusOK {
 		t.Fatalf("results 2: status %d", code)
 	}
@@ -188,7 +188,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			ts.Close()
 			t.Fatalf("workers=%d: %+v", workers, done)
 		}
-		b, code := get(t, ts, "/v1/jobs/"+view.ID+"/results")
+		b, code := get(t, ts, "/v1/tasks/"+view.ID+"/results")
 		if code != http.StatusOK {
 			ts.Close()
 			t.Fatalf("workers=%d: results status %d", workers, code)
@@ -216,19 +216,19 @@ func TestServiceMatchesRunMatrix(t *testing.T) {
 	}
 
 	d := newTestDispatcher(t, Config{Workers: 4, QueueSize: 4, CacheEntries: 64})
-	view, err := d.Submit(JobSpec{
+	view, err := d.SubmitTask(JobKind, JobSpec{
 		Reps: 1, Steps: 200, BaseSeed: 9, Salt: salt,
 		Fault: fault, Interventions: iv,
-	})
+	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-d.Done(view.ID)
-	got, _, ok, err := d.Results(view.ID)
+	<-d.TaskDone(view.ID)
+	got, _, _, _, ok, err := d.taskResult(view.ID)
 	if !ok || err != nil {
 		t.Fatalf("results: ok=%v err=%v", ok, err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got.([]experiments.RunOutcome), want) {
 		t.Error("service results diverge from RunMatrix")
 	}
 }
@@ -236,23 +236,23 @@ func TestServiceMatchesRunMatrix(t *testing.T) {
 func TestPartialOverlapReusesRuns(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 2, QueueSize: 4, CacheEntries: 64})
 	one := smallSpec()
-	v1, err := d.Submit(one)
+	v1, err := d.SubmitTask(JobKind, one, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-d.Done(v1.ID)
+	<-d.TaskDone(v1.ID)
 
 	two := smallSpec()
 	two.Reps = 2 // different spec hash, one overlapping run
-	v2, err := d.Submit(two)
+	v2, err := d.SubmitTask(JobKind, two, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v2.SpecHash == v1.SpecHash {
 		t.Fatal("different specs share a hash")
 	}
-	<-d.Done(v2.ID)
-	view, _ := d.Job(v2.ID)
+	<-d.TaskDone(v2.ID)
+	view, _ := d.Task(v2.ID)
 	if view.CacheHits != 1 {
 		t.Errorf("overlapping job cache hits = %d, want 1", view.CacheHits)
 	}
@@ -270,18 +270,18 @@ func TestQueueFullAndDraining(t *testing.T) {
 	slow.Fault = fi.Params{}
 	slow.Steps = 8000
 	slow.Reps = 200
-	if _, err := d.Submit(slow); err != nil { // picked up by the scheduler
+	if _, err := d.SubmitTask(JobKind, slow, ""); err != nil { // picked up by the scheduler
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // let the scheduler start job 1
 	b := smallSpec()
 	b.BaseSeed = 2
-	if _, err := d.Submit(b); err != nil { // fills the queue
+	if _, err := d.SubmitTask(JobKind, b, ""); err != nil { // fills the queue
 		t.Fatal(err)
 	}
 	c := smallSpec()
 	c.BaseSeed = 3
-	if _, err := d.Submit(c); err != ErrQueueFull {
+	if _, err := d.SubmitTask(JobKind, c, ""); err != ErrQueueFull {
 		t.Errorf("third submit err = %v, want ErrQueueFull", err)
 	}
 
@@ -290,11 +290,11 @@ func TestQueueFullAndDraining(t *testing.T) {
 	if err := d.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if _, err := d.Submit(smallSpec()); err != ErrDraining {
+	if _, err := d.SubmitTask(JobKind, smallSpec(), ""); err != ErrDraining {
 		t.Errorf("post-drain submit err = %v, want ErrDraining", err)
 	}
 	// Drain must have finished the queued jobs, not dropped them.
-	counts := d.JobCounts()
+	counts := d.TaskCounts()[JobKind.Plural]
 	if counts[StatusDone] != 2 {
 		t.Errorf("done jobs after drain = %d, want 2 (%v)", counts[StatusDone], counts)
 	}
@@ -305,10 +305,10 @@ func TestHTTPErrors(t *testing.T) {
 	ts := httptest.NewServer(NewServer(d))
 	defer ts.Close()
 
-	if _, code := get(t, ts, "/v1/jobs/nope"); code != http.StatusNotFound {
+	if _, code := get(t, ts, "/v1/tasks/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown job status = %d, want 404", code)
 	}
-	if _, code := get(t, ts, "/v1/jobs/nope/results"); code != http.StatusNotFound {
+	if _, code := get(t, ts, "/v1/tasks/nope/results"); code != http.StatusNotFound {
 		t.Errorf("unknown job results = %d, want 404", code)
 	}
 	bad := smallSpec()
@@ -316,7 +316,7 @@ func TestHTTPErrors(t *testing.T) {
 	if _, code := postJob(t, ts, bad); code != http.StatusBadRequest {
 		t.Errorf("ML spec status = %d, want 400", code)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/tasks/jobs", "application/json",
 		bytes.NewReader([]byte(`{"nonsense_field": 1}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestHTTPErrors(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
-	if _, code := get(t, ts, "/v1/jobs/"+view.ID+"/results"); code != http.StatusOK && code != http.StatusConflict {
+	if _, code := get(t, ts, "/v1/tasks/"+view.ID+"/results"); code != http.StatusOK && code != http.StatusConflict {
 		t.Errorf("in-flight results = %d, want 409 (or 200 if already done)", code)
 	}
 	waitDone(t, ts, view.ID)
@@ -346,20 +346,20 @@ func TestJobRecordRetention(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		spec := smallSpec()
 		spec.BaseSeed = int64(100 + i) // distinct jobs, nothing cached
-		view, err := d.Submit(spec)
+		view, err := d.SubmitTask(JobKind, spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-d.Done(view.ID)
+		<-d.TaskDone(view.ID)
 		ids = append(ids, view.ID)
 	}
 	for i, id := range ids {
-		_, ok := d.Job(id)
+		_, ok := d.Task(id)
 		if wantKept := i >= 2; ok != wantKept {
 			t.Errorf("job %d (%s) retained = %v, want %v", i, id, ok, wantKept)
 		}
 	}
-	counts := d.JobCounts()
+	counts := d.TaskCounts()[JobKind.Plural]
 	if counts[StatusDone] != 2 {
 		t.Errorf("retained done jobs = %d, want 2 (%v)", counts[StatusDone], counts)
 	}

@@ -25,7 +25,7 @@ func TestSoleRunServeByteIdentity(t *testing.T) {
 	}
 	waitDone(t, ts, v.ID)
 
-	result, hash, kind, sole, ok, err := d.taskResult(v.ID, nil)
+	result, hash, kind, sole, ok, err := d.taskResult(v.ID)
 	if !ok || err != nil {
 		t.Fatalf("taskResult: %v %v", ok, err)
 	}
@@ -63,7 +63,7 @@ func TestSoleRunServeByteIdentity(t *testing.T) {
 	multi.Reps = 2
 	v2, _ := postJob(t, ts, multi)
 	waitDone(t, ts, v2.ID)
-	if _, _, _, sole2, ok, err := d.taskResult(v2.ID, nil); !ok || err != nil || sole2 != nil {
+	if _, _, _, sole2, ok, err := d.taskResult(v2.ID); !ok || err != nil || sole2 != nil {
 		t.Fatalf("multi-run job sole ref = %v (ok=%v err=%v), want nil", sole2, ok, err)
 	}
 }

@@ -138,8 +138,8 @@ type SoleRunRef struct {
 type TaskKind struct {
 	// Name is the singular kind name ("job"), used in messages and views.
 	Name string
-	// Plural is the route segment ("jobs"): POST /v1/tasks/{Plural} and
-	// the legacy alias POST /v1/{Plural}.
+	// Plural is the route segment ("jobs") of POST /v1/tasks/{Plural};
+	// it also keys the kind in /healthz, /metrics and the journal.
 	Plural string
 	// Prefix starts the kind's task IDs ("j" -> j000001-1a2b3c4d).
 	Prefix string
@@ -260,14 +260,6 @@ type TaskView struct {
 	QueueWaitMillis float64 `json:"queue_wait_ms,omitempty"`
 	RunMillis       float64 `json:"run_ms,omitempty"`
 }
-
-// Typed view aliases kept for the pre-runtime API surface; all three
-// kinds share the TaskView wire format.
-type (
-	JobView         = TaskView
-	ExplorationView = TaskView
-	ReportView      = TaskView
-)
 
 // taskQueue is the priority queue behind the dispatcher: FIFO within
 // each class, interactive ahead of bulk, with an aging credit so bulk

@@ -31,7 +31,7 @@ func slowSpec(reps int) JobSpec {
 // ahead of an unpopped occupier).
 func submitOccupier(t *testing.T, d *Dispatcher, reps int) TaskView {
 	t.Helper()
-	v, err := d.Submit(slowSpec(reps))
+	v, err := d.SubmitTask(JobKind, slowSpec(reps), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func finalViews(t *testing.T, d *Dispatcher, ids ...string) map[string]TaskView 
 func TestInteractiveOvertakesBulk(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 1, QueueSize: 16, CacheEntries: 64})
 	occ := submitOccupier(t, d, 60)
-	rep, err := d.SubmitReport(smallReportSpec())
+	rep, err := d.SubmitTask(ReportKind, reportTask{spec: smallReportSpec()}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestInteractiveOvertakesBulk(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		spec := smallSpec()
 		spec.BaseSeed = int64(50 + i)
-		v, err := d.Submit(spec)
+		v, err := d.SubmitTask(JobKind, spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestInteractiveOvertakesBulk(t *testing.T) {
 func TestBulkAgingPreventsStarvation(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 1, QueueSize: 16, CacheEntries: 64, AgeAfter: 2})
 	occ := submitOccupier(t, d, 60)
-	rep, err := d.SubmitReport(smallReportSpec())
+	rep, err := d.SubmitTask(ReportKind, reportTask{spec: smallReportSpec()}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestBulkAgingPreventsStarvation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		spec := smallSpec()
 		spec.BaseSeed = int64(70 + i)
-		v, err := d.Submit(spec)
+		v, err := d.SubmitTask(JobKind, spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestBulkAgingPreventsStarvation(t *testing.T) {
 func TestCancelQueuedNeverRuns(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 1, QueueSize: 8, CacheEntries: 64})
 	submitOccupier(t, d, 60)
-	v, err := d.Submit(smallSpec())
+	v, err := d.SubmitTask(JobKind, smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 	if !ok || final.Status != StatusCanceled || final.StartedAt != nil || final.CompletedRuns != 0 {
 		t.Errorf("canceled task ran anyway: %+v", final)
 	}
-	if _, _, ok, err := d.Results(v.ID); !ok || err == nil {
+	if _, _, _, _, ok, err := d.taskResult(v.ID); !ok || err == nil {
 		t.Errorf("canceled results: ok=%v err=%v, want ok and an error", ok, err)
 	}
 }
@@ -186,7 +186,7 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 // and it lands in StatusCanceled.
 func TestCancelMidTaskDiscardsPartialResults(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 1, QueueSize: 4, CacheEntries: 1024})
-	v, err := d.Submit(slowSpec(200)) // ~1s of single-shard work
+	v, err := d.SubmitTask(JobKind, slowSpec(200), "") // ~1s of single-shard work
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +203,6 @@ func TestCancelMidTaskDiscardsPartialResults(t *testing.T) {
 			t.Fatalf("task never observed mid-run: %+v", view)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	// The typed accessors are kind-strict in every status: a running job
-	// must be unknown to the exploration- and report-typed surfaces.
-	if _, _, ok, _ := d.ExplorationResults(v.ID); ok {
-		t.Error("ExplorationResults knows a job ID")
-	}
-	if _, _, ok, _ := d.ReportResults(v.ID); ok {
-		t.Error("ReportResults knows a job ID")
 	}
 	view, err := d.Cancel(v.ID)
 	if err != nil {
@@ -233,7 +225,7 @@ func TestCancelMidTaskDiscardsPartialResults(t *testing.T) {
 	if final.FinishedAt == nil {
 		t.Error("canceled task has no finish time")
 	}
-	if _, _, ok, err := d.Results(v.ID); !ok || err == nil {
+	if _, _, _, _, ok, err := d.taskResult(v.ID); !ok || err == nil {
 		t.Errorf("partial results not discarded: ok=%v err=%v", ok, err)
 	}
 	if _, ok, err := d.TaskResults(v.ID); !ok || err == nil || !strings.Contains(err.Error(), "canceled") {
@@ -261,7 +253,7 @@ func TestCancelVsDrainRace(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		spec := smallSpec()
 		spec.BaseSeed = int64(200 + i)
-		v, err := d.Submit(spec)
+		v, err := d.SubmitTask(JobKind, spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,14 +343,13 @@ func TestSubmitErrorMappingAllKinds(t *testing.T) {
 
 	// Bad specs: 400 with the shared error body, naming the offense.
 	for _, k := range kinds {
-		for _, path := range []string{"/v1/tasks/" + k.plural, "/v1/" + k.plural} {
-			resp, e := post(t, path, k.bad)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("POST %s bad spec: status %d, want 400", path, resp.StatusCode)
-			}
-			if e.Error == "" || !strings.Contains(e.Error, k.wantInBad) {
-				t.Errorf("POST %s bad spec: error %q does not name %q", path, e.Error, k.wantInBad)
-			}
+		path := "/v1/tasks/" + k.plural
+		resp, e := post(t, path, k.bad)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s bad spec: status %d, want 400", path, resp.StatusCode)
+		}
+		if e.Error == "" || !strings.Contains(e.Error, k.wantInBad) {
+			t.Errorf("POST %s bad spec: error %q does not name %q", path, e.Error, k.wantInBad)
 		}
 	}
 	// Bad priority: 400 before admission.
@@ -368,11 +359,11 @@ func TestSubmitErrorMappingAllKinds(t *testing.T) {
 
 	// Queue full: occupy the scheduler, fill the 1-slot queue, then
 	// every kind must get 429 with a Retry-After hint.
-	if _, err := d.Submit(slowSpec(100)); err != nil {
+	if _, err := d.SubmitTask(JobKind, slowSpec(100), ""); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // let the scheduler start the occupier
-	if _, err := d.Submit(slowSpec(1)); err != nil {
+	if _, err := d.SubmitTask(JobKind, slowSpec(1), ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range kinds {
@@ -414,11 +405,11 @@ func TestHealthQueueAndCacheCounters(t *testing.T) {
 	defer ts.Close()
 
 	occ := submitOccupier(t, d, 60)
-	jv, err := d.Submit(smallSpec())
+	jv, err := d.SubmitTask(JobKind, smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, err := d.SubmitReport(smallReportSpec())
+	rv, err := d.SubmitTask(ReportKind, reportTask{spec: smallReportSpec()}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,11 +454,11 @@ func TestHealthQueueAndCacheCounters(t *testing.T) {
 	}
 }
 
-// TestTaskRoutesAliasKindRoutes pins the route unification: the generic
-// /v1/tasks routes and the legacy per-kind routes serve byte-identical
-// views and results, the legacy routes stay kind-strict, and DELETE on
-// a terminal task conflicts.
-func TestTaskRoutesAliasKindRoutes(t *testing.T) {
+// TestTaskRoutes pins the generic task routes: status and results
+// by task ID for any kind, 404 for an unknown ID, 409 on DELETE of a
+// terminal task, the ?priority= override, and no per-kind routes
+// beside them.
+func TestTaskRoutes(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 2, QueueSize: 8, CacheEntries: 64})
 	ts := httptest.NewServer(NewServer(d))
 	defer ts.Close()
@@ -481,26 +472,16 @@ func TestTaskRoutesAliasKindRoutes(t *testing.T) {
 	}
 	waitDone(t, ts, view.ID)
 
-	legacyStatus, _ := get(t, ts, "/v1/jobs/"+view.ID)
-	genericStatus, code := get(t, ts, "/v1/tasks/"+view.ID)
-	if code != http.StatusOK || !bytes.Equal(legacyStatus, genericStatus) {
-		t.Errorf("status routes diverge (%d):\n%s\nvs\n%s", code, legacyStatus, genericStatus)
-	}
-	legacyResults, _ := get(t, ts, "/v1/jobs/"+view.ID+"/results")
-	genericResults, code := get(t, ts, "/v1/tasks/"+view.ID+"/results")
-	if code != http.StatusOK || !bytes.Equal(legacyResults, genericResults) {
-		t.Errorf("results routes diverge (%d)", code)
-	}
-
-	// Legacy routes are kind-strict: a job ID is not an exploration.
-	if _, code := get(t, ts, "/v1/explorations/"+view.ID); code != http.StatusNotFound {
-		t.Errorf("cross-kind legacy status = %d, want 404", code)
-	}
-	if _, code := get(t, ts, "/v1/explorations/"+view.ID+"/results"); code != http.StatusNotFound {
-		t.Errorf("cross-kind legacy results = %d, want 404", code)
+	if _, code := get(t, ts, "/v1/tasks/"+view.ID+"/results"); code != http.StatusOK {
+		t.Errorf("results = %d, want 200", code)
 	}
 	if _, code := get(t, ts, "/v1/tasks/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown task = %d, want 404", code)
+	}
+	for _, path := range []string{"/v1/jobs/" + view.ID, "/v1/jobs/" + view.ID + "/results"} {
+		if _, code := get(t, ts, path); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404: per-kind routes are gone", path, code)
+		}
 	}
 
 	// DELETE of a finished task conflicts; of an unknown task, 404.

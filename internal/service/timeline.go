@@ -84,15 +84,11 @@ func (d *Dispatcher) closeSubsLocked(t *task) {
 
 // TaskEvents returns a copy of the task's timeline so far, if the task
 // is known.
-func (d *Dispatcher) TaskEvents(id string) ([]TimelineEvent, bool) { return d.taskEvents(id, nil) }
-
-// taskEvents is TaskEvents optionally constrained to a kind (nil =
-// any), mirroring taskView for the per-kind route aliases.
-func (d *Dispatcher) taskEvents(id string, kind *TaskKind) ([]TimelineEvent, bool) {
+func (d *Dispatcher) TaskEvents(id string) ([]TimelineEvent, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t, ok := d.tasks[id]
-	if !ok || (kind != nil && t.kind != kind) {
+	if !ok {
 		return nil, false
 	}
 	out := make([]TimelineEvent, len(t.timeline))
@@ -108,17 +104,13 @@ func (d *Dispatcher) taskEvents(id string, kind *TaskKind) ([]TimelineEvent, boo
 // must call stop when done watching; stop is idempotent and safe after
 // the close.
 func (d *Dispatcher) WatchTask(id string) (past []TimelineEvent, events <-chan TimelineEvent, stop func(), ok bool) {
-	return d.watchTask(id, nil)
-}
-
-func (d *Dispatcher) watchTask(id string, kind *TaskKind) ([]TimelineEvent, <-chan TimelineEvent, func(), bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t, ok := d.tasks[id]
-	if !ok || (kind != nil && t.kind != kind) {
+	if !ok {
 		return nil, nil, nil, false
 	}
-	past := make([]TimelineEvent, len(t.timeline))
+	past = make([]TimelineEvent, len(t.timeline))
 	copy(past, t.timeline)
 	ch := make(chan TimelineEvent, timelineSubBuffer)
 	if t.status.terminal() {
@@ -126,7 +118,7 @@ func (d *Dispatcher) watchTask(id string, kind *TaskKind) ([]TimelineEvent, <-ch
 		return past, ch, func() {}, true
 	}
 	t.subs = append(t.subs, ch)
-	stop := func() {
+	stop = func() {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		// If the terminal transition already closed the channel, it is

@@ -106,7 +106,7 @@ grep -q '"status": *"done"' "$WORK/final.json" || {
     cat "$WORK/coord.log" >&2
     exit 1
 }
-"$WORK/adasimctl" -addr "$ADDR" report-results -id "$ID" >"$WORK/distributed.json"
+"$WORK/adasimctl" -addr "$ADDR" task results -id "$ID" >"$WORK/distributed.json"
 
 echo "==> checking the fleet actually executed remote runs"
 "$WORK/adasimctl" -addr "$ADDR" workers >"$WORK/workers.json"
@@ -124,7 +124,7 @@ wait_health "$REF_ADDR"
 "$WORK/adasimctl" -addr "$REF_ADDR" report $REPORT_FLAGS >"$WORK/refsubmit.json"
 REF_ID=$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$WORK/refsubmit.json" | head -1)
 "$WORK/adasimctl" -addr "$REF_ADDR" task wait -id "$REF_ID" >/dev/null
-"$WORK/adasimctl" -addr "$REF_ADDR" report-results -id "$REF_ID" >"$WORK/reference.json"
+"$WORK/adasimctl" -addr "$REF_ADDR" task results -id "$REF_ID" >"$WORK/reference.json"
 
 echo "==> comparing distributed results against the single-node reference"
 if ! cmp -s "$WORK/distributed.json" "$WORK/reference.json"; then
