@@ -329,10 +329,6 @@ func cmdCache(c *client.Client) error {
 	st := health.Cache
 	fmt.Printf("memory tier: %d/%d entries, %d hits (%d from disk), %d misses, %d evictions\n",
 		st.Entries, st.MaxSize, st.Hits, st.DiskHits, st.Misses, st.Evictions)
-	if st.EncodedHits+st.EncodedMisses > 0 {
-		fmt.Printf("results path: %d encoded reads (%d hits, %d misses) counted above\n",
-			st.EncodedHits+st.EncodedMisses, st.EncodedHits, st.EncodedMisses)
-	}
 	if st.Disk == nil {
 		fmt.Println("disk tier: off")
 		return nil

@@ -29,18 +29,13 @@ type DiskErrorStats struct {
 
 // CacheStats is a point-in-time snapshot of the cache counters.
 type CacheStats struct {
-	Entries   int   `json:"entries"`
-	MaxSize   int   `json:"max_size"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	DiskHits  int64 `json:"disk_hits"`
-	Evictions int64 `json:"evictions"`
-	// EncodedHits/EncodedMisses count the Encoded lookups (the results
-	// serve path) within Hits/Misses, so clients polling a warm result
-	// can be discounted from the job-path hit rate.
-	EncodedHits   int64          `json:"encoded_hits"`
-	EncodedMisses int64          `json:"encoded_misses"`
-	DiskErrors    DiskErrorStats `json:"disk_errors"`
+	Entries    int            `json:"entries"`
+	MaxSize    int            `json:"max_size"`
+	Hits       int64          `json:"hits"`
+	Misses     int64          `json:"misses"`
+	DiskHits   int64          `json:"disk_hits"`
+	Evictions  int64          `json:"evictions"`
+	DiskErrors DiskErrorStats `json:"disk_errors"`
 	// Disk describes the segment store; nil when the disk tier is off.
 	Disk *SegmentStoreStats `json:"disk,omitempty"`
 }
@@ -70,13 +65,12 @@ type ResultCache struct {
 
 // cacheEntry pairs the canonical JSON encoding with its decoded
 // outcome. Keys are content hashes, so the encoding is computed once
-// per key — on first Put or on disk promotion — and never again: warm
-// serves hand out the stored bytes instead of re-marshaling, and a
+// per key — on first Put or on disk promotion — and never again: a
 // repeat Put of a resident key skips both the marshal and the disk
-// write. Every resident entry holds a valid decoded outcome: disk
-// promotions (Get and Encoded alike) unmarshal once before insertion,
-// so bytes the current schema rejects never become resident — and
-// never get served verbatim.
+// write, and Encoded hands out the stored bytes. Every resident entry
+// holds a valid decoded outcome: disk promotions (Get and Encoded
+// alike) unmarshal once before insertion, so bytes the current schema
+// rejects never become resident.
 type cacheEntry struct {
 	key string
 	out metrics.Outcome
@@ -89,13 +83,13 @@ type cacheEntry struct {
 // registry; the dispatcher builds its cache through newResultCache to
 // share its own and to set the disk byte budget.
 func NewResultCache(maxEntries int, dir string) (*ResultCache, error) {
-	return newResultCache(maxEntries, dir, 0, 0, nil)
+	return newResultCache(maxEntries, dir, 0, nil)
 }
 
 // newResultCache is NewResultCache recording into reg (nil means a
 // private registry), with the segment store's byte budget (maxBytes,
-// 0 = unbounded) and segment size bound (segBytes, 0 = default).
-func newResultCache(maxEntries int, dir string, maxBytes, segBytes int64, reg *obs.Registry) (*ResultCache, error) {
+// 0 = unbounded).
+func newResultCache(maxEntries int, dir string, maxBytes int64, reg *obs.Registry) (*ResultCache, error) {
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
@@ -106,7 +100,7 @@ func newResultCache(maxEntries int, dir string, maxBytes, segBytes int64, reg *o
 		met:   newCacheMetrics(reg),
 	}
 	if dir != "" {
-		store, err := openSegStore(dir, segBytes, maxBytes, c.met)
+		store, err := openSegStore(dir, 0, maxBytes, c.met)
 		if err != nil {
 			return nil, err
 		}
@@ -164,16 +158,12 @@ func (c *ResultCache) Get(key string) (metrics.Outcome, bool) {
 }
 
 // Encoded returns the canonical JSON encoding of the outcome stored
-// under key, for serving verbatim (io.Copy via bytes.Reader) without a
-// re-marshal. The bytes are the cache's single encoding of the entry:
-// callers must not mutate them. Lookup semantics match Get exactly —
-// memory, then disk, with LRU promotion, hit/miss accounting, and the
-// same decode validation on disk promotion: bytes Get would reject (a
-// CRC-clean record of an older schema) are rejected here too, never
-// handed to a client verbatim. Encoded additionally counts into the
-// encoded-reads series, so the results-serve path (clients polling a
-// warm result) can be discounted from the job-path hit rate it would
-// otherwise skew.
+// under key — the bytes the disk tier holds — without a re-marshal.
+// The bytes are the cache's single encoding of the entry: callers must
+// not mutate them. Lookup semantics match Get exactly — memory, then
+// disk, with LRU promotion, hit/miss accounting, and the same decode
+// validation on disk promotion: bytes Get would reject (a CRC-clean
+// record of an older schema) are rejected here too.
 func (c *ResultCache) Encoded(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -184,11 +174,9 @@ func (c *ResultCache) Encoded(key string) ([]byte, bool) {
 			// Resident but never encodable (marshal failed on Put);
 			// there are no canonical bytes to serve.
 			c.met.misses.Inc()
-			c.met.encodedMisses.Inc()
 			return nil, false
 		}
 		c.met.hits.Inc()
-		c.met.encodedHits.Inc()
 		return enc, true
 	}
 	c.mu.Unlock()
@@ -204,7 +192,6 @@ func (c *ResultCache) Encoded(key string) ([]byte, bool) {
 				c.store.deleteKey(key)
 			}
 			c.met.misses.Inc()
-			c.met.encodedMisses.Inc()
 			return nil, false
 		}
 		c.mu.Lock()
@@ -212,12 +199,10 @@ func (c *ResultCache) Encoded(key string) ([]byte, bool) {
 		c.mu.Unlock()
 		c.met.hits.Inc()
 		c.met.diskHits.Inc()
-		c.met.encodedHits.Inc()
 		return enc, true
 	}
 
 	c.met.misses.Inc()
-	c.met.encodedMisses.Inc()
 	return nil, false
 }
 
@@ -287,14 +272,12 @@ func (c *ResultCache) removeLocked(el *list.Element) {
 // exposes, so the two surfaces cannot disagree.
 func (c *ResultCache) Stats() CacheStats {
 	st := CacheStats{
-		Entries:       int(c.met.entries.Value()),
-		MaxSize:       int(c.met.maxEntries.Value()),
-		Hits:          int64(c.met.hits.Value()),
-		Misses:        int64(c.met.misses.Value()),
-		DiskHits:      int64(c.met.diskHits.Value()),
-		Evictions:     int64(c.met.evictions.Value()),
-		EncodedHits:   int64(c.met.encodedHits.Value()),
-		EncodedMisses: int64(c.met.encodedMisses.Value()),
+		Entries:   int(c.met.entries.Value()),
+		MaxSize:   int(c.met.maxEntries.Value()),
+		Hits:      int64(c.met.hits.Value()),
+		Misses:    int64(c.met.misses.Value()),
+		DiskHits:  int64(c.met.diskHits.Value()),
+		Evictions: int64(c.met.evictions.Value()),
 		DiskErrors: DiskErrorStats{
 			Write:  int64(c.met.errWrite.Value()),
 			Read:   int64(c.met.errRead.Value()),

@@ -69,10 +69,6 @@ type Config struct {
 	// past the budget the coldest sealed segments are GC'd whole. Zero
 	// means unbounded.
 	CacheMaxBytes int64
-	// CacheSegmentBytes bounds one cache segment file before rotation.
-	// Zero means the store default (16 MiB); tests shrink it to force
-	// rotation, compaction, and GC at tiny scale.
-	CacheSegmentBytes int64
 	// MaxJobRecords bounds how many finished standard-retention task
 	// records (jobs and explorations — runs/probes plus counters) are
 	// retained for status/results queries. The oldest finished records
@@ -262,7 +258,7 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) { return newDispatcher(cfg, 
 // tests.
 func newDispatcher(cfg Config, runFn func(*experiments.Runner, core.Options) (*core.Result, error)) (*Dispatcher, error) {
 	cfg = cfg.normalized()
-	cache, err := newResultCache(cfg.CacheEntries, cfg.CacheDir, cfg.CacheMaxBytes, cfg.CacheSegmentBytes, cfg.Metrics)
+	cache, err := newResultCache(cfg.CacheEntries, cfg.CacheDir, cfg.CacheMaxBytes, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +306,8 @@ func newDispatcher(cfg Config, runFn func(*experiments.Runner, core.Options) (*c
 // original submission order. It runs before the scheduler starts. A
 // record that no longer decodes or prepares becomes a terminal failed
 // task (visible over the API, journaled terminal so compaction drops
-// it) rather than aborting recovery.
+// it) rather than aborting recovery; one of an unknown kind has no
+// record to keep and is only journaled failed.
 func (d *Dispatcher) recoverTasks(recs []journalRecord, stats ReplayStats) {
 	byPlural := make(map[string]*TaskKind, len(taskKinds))
 	for _, k := range taskKinds {
@@ -325,11 +322,6 @@ func (d *Dispatcher) recoverTasks(recs []journalRecord, stats ReplayStats) {
 	for _, rec := range recs {
 		if err := d.recoverOne(byPlural[rec.Kind], rec); err != nil {
 			summary.FailedReplays++
-			d.journal.Append(journalRecord{
-				Op: opFailed, ID: rec.ID,
-				Error: fmt.Sprintf("recovery: %v", err),
-				At:    time.Now().UTC(),
-			})
 		} else {
 			summary.RecoveredTasks++
 		}
@@ -349,14 +341,15 @@ func (d *Dispatcher) recoverTasks(recs []journalRecord, stats ReplayStats) {
 // priority, and submission time, and queues it.
 func (d *Dispatcher) recoverOne(kind *TaskKind, rec journalRecord) error {
 	if kind == nil {
-		return fmt.Errorf("unknown task kind %q", rec.Kind)
-	}
-	spec, err := kind.Decode(rec.Spec)
-	if err != nil {
-		d.recordReplayFailure(kind, rec, err)
+		err := fmt.Errorf("unknown task kind %q", rec.Kind)
+		d.journal.Append(journalRecord{Op: opFailed, ID: rec.ID, Error: err.Error(), At: time.Now().UTC()})
 		return err
 	}
-	prep, err := spec.Prepare()
+	spec, err := kind.Decode(rec.Spec)
+	var prep PreparedTask
+	if err == nil {
+		prep, err = spec.Prepare()
+	}
 	if err != nil {
 		d.recordReplayFailure(kind, rec, err)
 		return err
@@ -415,14 +408,12 @@ func (d *Dispatcher) recordReplayFailure(kind *TaskKind, rec journalRecord, caus
 		finishedAt:  &now,
 		done:        make(chan struct{}),
 	}
-	close(t.done)
 	d.mu.Lock()
 	d.appendEventLocked(t, EventSubmitted, fmt.Sprintf("%s (recovered from journal)", kind.Name))
 	d.appendEventLocked(t, EventFailed, t.errMsg)
-	d.m.finished[kind.Plural][StatusFailed].Inc()
 	d.tasks[t.id] = t
 	d.order = append(d.order, t.id)
-	d.pruneLocked()
+	d.finishLocked(t)
 	d.mu.Unlock()
 	d.log.Warn("journal replay failed for task", "task", t.id, "err", cause)
 }
@@ -576,37 +567,26 @@ func (d *Dispatcher) Task(id string) (TaskView, bool) {
 }
 
 // taskResult returns the task's kind-specific result once it is done,
-// with its spec hash, kind and sole-run reference. The boolean is false
-// for unknown tasks; the error reports a task that has not finished,
-// failed, or was canceled.
-func (d *Dispatcher) taskResult(id string) (any, string, *TaskKind, *SoleRunRef, bool, error) {
+// with its spec hash and kind. The boolean is false for unknown tasks;
+// the error reports a task that has not finished, failed, or was
+// canceled.
+func (d *Dispatcher) taskResult(id string) (any, string, *TaskKind, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t, ok := d.tasks[id]
 	if !ok {
-		return nil, "", nil, nil, false, nil
+		return nil, "", nil, false, nil
 	}
 	switch t.status {
 	case StatusDone:
-		return t.result, t.hash, t.kind, t.prep.SoleRun, true, nil
+		return t.result, t.hash, t.kind, true, nil
 	case StatusFailed:
-		return nil, t.hash, t.kind, nil, true, fmt.Errorf("service: %s %s failed: %s", t.kind.Name, id, t.errMsg)
+		return nil, t.hash, t.kind, true, fmt.Errorf("service: %s %s failed: %s", t.kind.Name, id, t.errMsg)
 	case StatusCanceled:
-		return nil, t.hash, t.kind, nil, true, fmt.Errorf("service: %s %s was canceled", t.kind.Name, id)
+		return nil, t.hash, t.kind, true, fmt.Errorf("service: %s %s was canceled", t.kind.Name, id)
 	default:
-		return nil, t.hash, t.kind, nil, true, fmt.Errorf("service: %s %s is %s", t.kind.Name, id, t.status)
+		return nil, t.hash, t.kind, true, fmt.Errorf("service: %s %s is %s", t.kind.Name, id, t.status)
 	}
-}
-
-// TaskResults returns the wire-shaped results of a finished task: the
-// kind's Wire marshal applied to the result, a pure function of the
-// normalized spec.
-func (d *Dispatcher) TaskResults(id string) (any, bool, error) {
-	result, hash, kind, _, ok, err := d.taskResult(id)
-	if !ok || err != nil {
-		return nil, ok, err
-	}
-	return kind.Wire(hash, result), true, nil
 }
 
 // TaskDone returns a channel closed when the task reaches a terminal
@@ -650,13 +630,8 @@ func (d *Dispatcher) Cancel(id string) (TaskView, error) {
 		t.finishedMono = mono
 		t.status = StatusCanceled
 		t.errMsg = "canceled while queued"
-		t.prep.Run = nil // release the plan; it will never execute
-		close(t.done)
-		d.m.finished[t.kind.Plural][StatusCanceled].Inc()
 		d.appendEventLocked(t, EventCanceled, "canceled while queued")
-		d.closeSubsLocked(t)
-		d.journalTerminal(t)
-		d.pruneLocked()
+		d.finishLocked(t)
 		d.log.Info("task canceled while queued", "task", t.id, "kind", t.kind.Name)
 	case StatusRunning:
 		// Idempotent: only the first request counts and leaves a
@@ -869,18 +844,10 @@ func (d *Dispatcher) executeTask(t *task) {
 		d.appendEventLocked(t, EventDone, fmt.Sprintf("%d runs, %d cache hits, ran %s",
 			stats.Completed, stats.CacheHits, ran.Round(time.Microsecond)))
 	}
-	d.m.finished[t.kind.Plural][t.status].Inc()
 	d.m.taskDur[t.kind.Plural].Observe(ran.Seconds())
-	d.closeSubsLocked(t)
-	// Terminal records only serve views and results: drop the Run
-	// closure so a retained record costs its result, not its expanded
-	// plan (a 10k-run job's plan is megabytes of resolved options).
-	t.prep.Run = nil
-	d.journalTerminal(t)
-	d.pruneLocked()
+	d.finishLocked(t)
 	status, completed, cacheHits, errMsg := t.status, t.completed.Load(), t.cacheHits.Load(), t.errMsg
 	d.mu.Unlock()
-	close(t.done)
 	if status == StatusFailed {
 		d.log.Warn("task failed", "task", t.id, "kind", t.kind.Name, "ran", ran, "err", errMsg)
 	} else {
@@ -921,6 +888,23 @@ func (d *Dispatcher) safeRun(t *task, env TaskEnv) (result any, stats TaskStats,
 		}
 	}()
 	return t.prep.Run(env)
+}
+
+// finishLocked is the one terminal transition of a task record; the
+// caller has already set its final status, error or result and its
+// terminal timeline event. It counts the outcome, closes the timeline
+// subscriptions, drops the Run closure (a retained record costs its
+// result, not its expanded plan — a 10k-run job's plan is megabytes of
+// resolved options), journals the transition, applies the retention
+// caps, and only then closes done, so a waiter never wakes to a record
+// that is not yet terminal and journaled. d.mu must be held.
+func (d *Dispatcher) finishLocked(t *task) {
+	d.m.finished[t.kind.Plural][t.status].Inc()
+	d.closeSubsLocked(t)
+	t.prep.Run = nil
+	d.journalTerminal(t)
+	d.pruneLocked()
+	close(t.done)
 }
 
 // journalTerminal appends the terminal record of t (whose status must

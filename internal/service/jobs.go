@@ -58,7 +58,7 @@ func (s JobSpec) Prepare() (PreparedTask, error) {
 	if err != nil {
 		return PreparedTask{}, err
 	}
-	prep := PreparedTask{
+	return PreparedTask{
 		Hash:  hash,
 		Total: len(plan),
 		Run: func(env TaskEnv) (any, TaskStats, error) {
@@ -68,11 +68,7 @@ func (s JobSpec) Prepare() (PreparedTask, error) {
 			}
 			return outs, stats, nil
 		},
-	}
-	if len(plan) == 1 && plan[0].CacheKey != "" {
-		prep.SoleRun = &SoleRunRef{Key: plan[0].Key, CacheKey: plan[0].CacheKey}
-	}
-	return prep, nil
+	}, nil
 }
 
 // executePlan resolves a job's planned runs: cached runs short-circuit,

@@ -118,6 +118,9 @@ type Journal struct {
 	// series, including the append+fsync latency histogram.
 	met    *journalMetrics
 	closed bool
+	// syncFile fsyncs a compacted segment before it is published; it is
+	// (*os.File).Sync, overridable so a test can fail it.
+	syncFile func(*os.File) error
 }
 
 // journalMaxSegmentBytes bounds the active segment before compaction
@@ -149,6 +152,7 @@ func openJournal(dir string, maxBytes int64, reg *obs.Registry) (*Journal, []jou
 		live:     make(map[string]journalRecord, len(recs)),
 		maxSeq:   stats.MaxSeq,
 		met:      newJournalMetrics(reg),
+		syncFile: (*os.File).Sync,
 	}
 	for _, r := range recs {
 		j.live[r.ID] = r
@@ -378,8 +382,8 @@ func (j *Journal) compactLocked(segSeq int) error {
 		size += int64(len(b))
 	}
 	j.liveOrder = kept
-	if err := w.Flush(); err == nil {
-		err = tmp.Sync()
+	if err = w.Flush(); err == nil {
+		err = j.syncFile(tmp)
 	}
 	if err != nil {
 		tmp.Close()

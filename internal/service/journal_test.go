@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -152,6 +153,74 @@ func TestJournalTerminalWithoutSubmit(t *testing.T) {
 // and a churn of submit+done pairs, old segments are deleted and the
 // directory never accumulates history — the journal's size tracks the
 // live set, not the submission count.
+// TestJournalCompactionSyncFailure pins compaction's durability
+// check: when the rewritten segment cannot be fsynced, compaction
+// fails, removes its temp file, and leaves the old segment in place —
+// never publishing a segment that may not be on disk.
+func TestJournalCompactionSyncFailure(t *testing.T) {
+	dir := t.TempDir()
+	j, _, _, err := openJournal(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i := 1; i <= 3; i++ {
+		if err := j.Append(testRecord(opSubmit, fmt.Sprintf("j%06d", i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listDir := func() map[string]string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]string, len(entries))
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	before := listDir()
+
+	j.syncFile = func(*os.File) error { return errors.New("injected fsync failure") }
+	j.mu.Lock()
+	err = j.compactLocked(j.segSeq + 1)
+	j.mu.Unlock()
+	if err == nil || !strings.Contains(err.Error(), "injected fsync failure") {
+		t.Fatalf("compaction with a failing fsync: err = %v, want the fsync error", err)
+	}
+	after := listDir()
+	if len(after) != len(before) {
+		t.Fatalf("directory after failed compaction = %d files, want the %d before it", len(after), len(before))
+	}
+	for name, content := range before {
+		if after[name] != content {
+			t.Errorf("segment %s changed by a failed compaction", name)
+		}
+	}
+
+	// The journal is still the old segment: appends land, and a reopen
+	// replays every live submission.
+	j.syncFile = (*os.File).Sync
+	if err := j.Append(testRecord(opSubmit, "j000004", 4)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j2, recs, _, err := openJournal(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(recs) != 4 {
+		t.Fatalf("replayed %d live submissions after a failed compaction, want 4", len(recs))
+	}
+}
+
 func TestJournalCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j, _, _, err := openJournal(dir, 512, nil)

@@ -212,7 +212,7 @@ func TestReportServesGoldenTable6(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-d.TaskDone(view.ID)
-	res, _, _, _, ok, err := d.taskResult(view.ID)
+	res, _, _, ok, err := d.taskResult(view.ID)
 	if !ok || err != nil {
 		t.Fatalf("results: ok=%v err=%v", ok, err)
 	}

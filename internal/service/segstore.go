@@ -79,11 +79,11 @@ const (
 	cacheIdxHeader    = 20
 	cacheIdxEntrySize = 16
 
-	// defaultCacheSegmentBytes bounds the active segment before rotation.
+	// defaultCacheSegMax bounds the active segment before rotation.
 	// At the observed ~600 B per outcome this is tens of thousands of
 	// entries per segment — few enough open files for millions of
 	// entries, coarse enough for whole-segment GC to matter.
-	defaultCacheSegmentBytes = 16 << 20
+	defaultCacheSegMax = 16 << 20
 
 	// maxCacheKeyLen and maxCacheRecordBytes are scan sanity bounds: a
 	// header field past them is corruption, not a record.
@@ -205,7 +205,7 @@ type segStore struct {
 // segment bound; maxBytes <= 0 means no GC budget.
 func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segStore, error) {
 	if segMax <= 0 {
-		segMax = defaultCacheSegmentBytes
+		segMax = defaultCacheSegMax
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: creating cache dir: %w", err)

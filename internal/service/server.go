@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -279,7 +278,7 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTaskResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	result, hash, kind, sole, ok, err := s.d.taskResult(id)
+	result, hash, kind, ok, err := s.d.taskResult(id)
 	if !ok {
 		unknownTask(w, id)
 		return
@@ -288,60 +287,7 @@ func (s *Server) handleTaskResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	if sole != nil && s.serveSoleRun(w, hash, sole, result) {
-		return
-	}
 	writeJSON(w, http.StatusOK, kind.Wire(hash, result))
-}
-
-// rawRunOutcome mirrors experiments.RunOutcome's wire shape but splices
-// the cache's canonical outcome bytes in verbatim instead of
-// re-marshaling the decoded struct. The bytes came from json.Marshal
-// (already compact, already HTML-escaped), so the RawMessage
-// pass-through is byte-identical to the marshal path — pinned by
-// TestSoleRunServeByteIdentity.
-type rawRunOutcome struct {
-	Key     experiments.RunKey `json:"key"`
-	Outcome json.RawMessage    `json:"outcome"`
-}
-
-// rawResultsResponse is ResultsResponse with the run outcome spliced in
-// raw. Field order and tags must match ResultsResponse exactly.
-type rawResultsResponse struct {
-	SpecHash  string            `json:"spec_hash"`
-	TotalRuns int               `json:"total_runs"`
-	Results   []rawRunOutcome   `json:"results"`
-	Aggregate metrics.Aggregate `json:"aggregate"`
-}
-
-// serveSoleRun is the zero-copy warm path for single-run results: when
-// the run's canonical bytes are resident in the result cache, the
-// response envelope is assembled around them and streamed with io.Copy
-// — the outcome (the bulk of the body) is never re-marshaled. Returns
-// false to fall back to the ordinary Wire+writeJSON path (bytes not
-// resident, or an unexpected result shape).
-func (s *Server) serveSoleRun(w http.ResponseWriter, hash string, sole *SoleRunRef, result any) bool {
-	runs, isRuns := result.([]experiments.RunOutcome)
-	if !isRuns || len(runs) != 1 {
-		return false
-	}
-	enc, ok := s.d.Cache().Encoded(sole.CacheKey)
-	if !ok {
-		return false
-	}
-	b, err := json.Marshal(rawResultsResponse{
-		SpecHash:  hash,
-		TotalRuns: 1,
-		Results:   []rawRunOutcome{{Key: runs[0].Key, Outcome: enc}},
-		Aggregate: AggregateFor(runs),
-	})
-	if err != nil {
-		return false
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	io.Copy(w, bytes.NewReader(append(b, '\n')))
-	return true
 }
 
 // handleTaskEvents serves a task's lifecycle timeline. The default

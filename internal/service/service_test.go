@@ -106,51 +106,70 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) TaskView {
 // TestEndToEndCacheHit is the tentpole acceptance test: submitting the
 // same spec twice over the HTTP API serves the second job entirely from
 // the cache (observable in the cache-hit counters) with byte-identical
-// results.
+// results. Each input — a one-run job and a multi-run job — is pinned
+// cold and cache-served to the kind's Wire shape marshaled once, the
+// single results path every task takes.
 func TestEndToEndCacheHit(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 4, QueueSize: 8, CacheEntries: 256})
 	ts := httptest.NewServer(NewServer(d))
 	defer ts.Close()
 
-	view1, code := postJob(t, ts, smallSpec())
-	if code != http.StatusAccepted {
-		t.Fatalf("submit 1: status %d", code)
-	}
-	done1 := waitDone(t, ts, view1.ID)
-	if done1.Status != StatusDone {
-		t.Fatalf("job 1 = %+v", done1)
-	}
-	if done1.CacheHits != 0 {
-		t.Errorf("cold job reported %d cache hits", done1.CacheHits)
-	}
-	results1, code := get(t, ts, "/v1/tasks/"+view1.ID+"/results")
-	if code != http.StatusOK {
-		t.Fatalf("results 1: status %d: %s", code, results1)
-	}
+	multi := smallSpec()
+	multi.Reps, multi.BaseSeed = 3, 8 // no run shared with the one-run input
+	warmHits := 0
+	for _, spec := range []JobSpec{smallSpec(), multi} {
+		view1, code := postJob(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit 1: status %d", code)
+		}
+		done1 := waitDone(t, ts, view1.ID)
+		if done1.Status != StatusDone {
+			t.Fatalf("job 1 = %+v", done1)
+		}
+		if done1.CacheHits != 0 {
+			t.Errorf("cold job reported %d cache hits", done1.CacheHits)
+		}
+		results1, code := get(t, ts, "/v1/tasks/"+view1.ID+"/results")
+		if code != http.StatusOK {
+			t.Fatalf("results 1: status %d: %s", code, results1)
+		}
+		result, hash, kind, ok, err := d.taskResult(view1.ID)
+		if !ok || err != nil {
+			t.Fatalf("taskResult: ok=%v err=%v", ok, err)
+		}
+		want, err := json.Marshal(kind.Wire(hash, result))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(results1, want) {
+			t.Errorf("%d-run results route diverges from the Wire marshal:\n%s\nvs\n%s", done1.TotalRuns, results1, want)
+		}
 
-	view2, code := postJob(t, ts, smallSpec())
-	if code != http.StatusAccepted {
-		t.Fatalf("submit 2: status %d", code)
-	}
-	if view2.ID == view1.ID {
-		t.Fatalf("resubmission reused job id %s", view1.ID)
-	}
-	if view2.SpecHash != view1.SpecHash {
-		t.Errorf("same spec hashed differently: %s vs %s", view1.SpecHash, view2.SpecHash)
-	}
-	done2 := waitDone(t, ts, view2.ID)
-	if done2.Status != StatusDone {
-		t.Fatalf("job 2 = %+v", done2)
-	}
-	if done2.CacheHits != done2.TotalRuns || done2.TotalRuns == 0 {
-		t.Errorf("warm job cache hits = %d of %d runs, want all", done2.CacheHits, done2.TotalRuns)
-	}
-	results2, code := get(t, ts, "/v1/tasks/"+view2.ID+"/results")
-	if code != http.StatusOK {
-		t.Fatalf("results 2: status %d", code)
-	}
-	if !bytes.Equal(results1, results2) {
-		t.Errorf("cached results are not byte-identical:\n%s\nvs\n%s", results1, results2)
+		view2, code := postJob(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit 2: status %d", code)
+		}
+		if view2.ID == view1.ID {
+			t.Fatalf("resubmission reused job id %s", view1.ID)
+		}
+		if view2.SpecHash != view1.SpecHash {
+			t.Errorf("same spec hashed differently: %s vs %s", view1.SpecHash, view2.SpecHash)
+		}
+		done2 := waitDone(t, ts, view2.ID)
+		if done2.Status != StatusDone {
+			t.Fatalf("job 2 = %+v", done2)
+		}
+		if done2.CacheHits != done2.TotalRuns || done2.TotalRuns == 0 {
+			t.Errorf("warm job cache hits = %d of %d runs, want all", done2.CacheHits, done2.TotalRuns)
+		}
+		warmHits += done2.CacheHits
+		results2, code := get(t, ts, "/v1/tasks/"+view2.ID+"/results")
+		if code != http.StatusOK {
+			t.Fatalf("results 2: status %d", code)
+		}
+		if !bytes.Equal(results1, results2) {
+			t.Errorf("cached results are not byte-identical:\n%s\nvs\n%s", results1, results2)
+		}
 	}
 
 	var health HealthResponse
@@ -158,8 +177,8 @@ func TestEndToEndCacheHit(t *testing.T) {
 	if err := json.Unmarshal(b, &health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Cache.Hits < int64(done2.TotalRuns) {
-		t.Errorf("healthz cache hits = %d, want >= %d", health.Cache.Hits, done2.TotalRuns)
+	if health.Cache.Hits < int64(warmHits) {
+		t.Errorf("healthz cache hits = %d, want >= %d", health.Cache.Hits, warmHits)
 	}
 }
 
@@ -224,7 +243,7 @@ func TestServiceMatchesRunMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-d.TaskDone(view.ID)
-	got, _, _, _, ok, err := d.taskResult(view.ID)
+	got, _, _, ok, err := d.taskResult(view.ID)
 	if !ok || err != nil {
 		t.Fatalf("results: ok=%v err=%v", ok, err)
 	}
@@ -362,6 +381,94 @@ func TestJobRecordRetention(t *testing.T) {
 	counts := d.TaskCounts()[JobKind.Plural]
 	if counts[StatusDone] != 2 {
 		t.Errorf("retained done jobs = %d, want 2 (%v)", counts[StatusDone], counts)
+	}
+}
+
+// TestRetentionEvictsOldestFinished pins the retention order over
+// finish orders that differ from submission order (a job canceled
+// while queued, a ?priority=bulk job overtaken by later interactive
+// ones): past the cap, the finished record submitted first is evicted
+// first, and a queued or running task is never evicted, however far
+// over the cap the finished records of its class are. Each run waits
+// for a token, so the test decides when every job finishes.
+func TestRetentionEvictsOldestFinished(t *testing.T) {
+	tokens := make(chan struct{})
+	gated := func(r *experiments.Runner, opts core.Options) (*core.Result, error) {
+		<-tokens
+		return r.Do(opts)
+	}
+	d := newChaosDispatcher(t, Config{Workers: 1, QueueSize: 8, MaxJobRecords: 2}, gated)
+	t.Cleanup(func() { close(tokens) }) // runs before the drain: release any gated run
+	seed := int64(200)
+	submit := func(priority PriorityClass) string {
+		t.Helper()
+		spec := smallSpec()
+		seed++
+		spec.BaseSeed = seed // distinct one-run jobs: every run is gated
+		v, err := d.SubmitTask(JobKind, spec, priority)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.ID
+	}
+	waitStatus := func(id string, want Status) {
+		t.Helper()
+		deadline := time.Now().Add(time.Minute)
+		for {
+			v, ok := d.Task(id)
+			if ok && v.Status == want {
+				return
+			}
+			if !ok || time.Now().After(deadline) {
+				t.Fatalf("task %s: retained=%v status %s, want %s", id, ok, v.Status, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	finish := func(id string) {
+		t.Helper()
+		tokens <- struct{}{}
+		<-d.TaskDone(id)
+	}
+	retained := func(want map[string]bool) {
+		t.Helper()
+		for id, kept := range want {
+			if _, ok := d.Task(id); ok != kept {
+				t.Errorf("task %s retained = %v, want %v", id, ok, kept)
+			}
+		}
+	}
+
+	a := submit("")
+	waitStatus(a, StatusRunning)
+	b := submit(PriorityBulk) // waits behind every interactive job
+	c := submit("")
+	q := submit("")
+	if _, err := d.Cancel(q); err != nil {
+		t.Fatal(err)
+	}
+	// Finished, in order: q (canceled while queued), then a.
+	finish(a)
+	waitStatus(c, StatusRunning)
+	e := submit("")
+	retained(map[string]bool{q: true, a: true, b: true, c: true, e: true})
+
+	// c finishes third: a, the oldest submitted, goes, though q
+	// finished first. Bulk b (queued) and e (now running) stay.
+	finish(c)
+	waitStatus(e, StatusRunning)
+	retained(map[string]bool{a: false, q: true, c: true, b: true, e: true})
+
+	finish(e)
+	waitStatus(b, StatusRunning)
+	retained(map[string]bool{c: false, q: true, e: true, b: true})
+
+	// b, submitted before every retained record, is evicted the moment
+	// it finishes.
+	finish(b)
+	retained(map[string]bool{b: false, q: true, e: true})
+	if n := d.TaskCounts()[JobKind.Plural]; n[StatusDone]+n[StatusCanceled] != 2 {
+		t.Errorf("retained finished jobs = %v, want 2", n)
 	}
 }
 

@@ -118,18 +118,6 @@ type PreparedTask struct {
 	// kind-specific result. On cancellation it returns ErrCanceled
 	// (usually surfaced through env.Exec).
 	Run func(env TaskEnv) (result any, stats TaskStats, err error)
-	// SoleRun, when the plan is exactly one run, names it: its RunKey
-	// and result-cache key. The results route uses it to stream the
-	// cache's canonical outcome bytes verbatim (see ResultCache.Encoded)
-	// instead of re-marshaling the decoded outcome; kinds whose results
-	// are not a run list leave it nil.
-	SoleRun *SoleRunRef
-}
-
-// SoleRunRef identifies the single planned run of a one-run task.
-type SoleRunRef struct {
-	Key      experiments.RunKey
-	CacheKey string
 }
 
 // TaskKind registers one workload kind with the runtime. Registration is
@@ -200,9 +188,9 @@ type task struct {
 	// advance them without taking the dispatcher lock. They only ever
 	// move forward (CAS-max) while the task runs; the finalize path
 	// stores the authoritative totals.
-	completed atomic.Int64
-	cacheHits atomic.Int64
-	errMsg    string
+	completed   atomic.Int64
+	cacheHits   atomic.Int64
+	errMsg      string
 	submittedAt time.Time
 	startedAt   *time.Time
 	finishedAt  *time.Time
